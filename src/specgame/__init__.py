@@ -47,7 +47,6 @@ from .errors import ConfigError, PreconditionError, SolverFailure, SpecgameError
 from .game import (
     GameInstance,
     PowerAllocation,
-    brute_force_best_response,
     single_carrier_allocation,
     utilities,
     utility,
@@ -62,7 +61,12 @@ from .sweep import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from .verify import CheckResult, VerificationReport, run_verification
+from .verify import (
+    CheckResult,
+    VerificationReport,
+    brute_force_best_response,
+    run_verification,
+)
 
 __version__ = "0.1.0"
 

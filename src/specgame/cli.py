@@ -17,18 +17,8 @@ from .analysis import BOUND_KINDS, bound_curve
 from .config import load_instance_config, load_sweep_config
 from .efficiency import ExponentialEfficiency
 from .errors import ConfigError, PreconditionError
-from .sweep import MODES, run_sweep, write_aggregate_csv, write_trial_csv
+from .sweep import MODES, _fmt, run_sweep, write_aggregate_csv, write_trial_csv
 from .verify import run_verification
-
-_SOLVERS = {
-    "nash": equilibria.nash_solve,
-    "stackelberg": equilibria.stackelberg_solve,
-    "social": equilibria.social_optimum,
-}
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
 
 
 def _outcome_lines(mode, outcome):
@@ -71,7 +61,7 @@ def _cmd_solve(args) -> int:
     else:
         mode = args.mode or "all"
         modes = MODES if mode == "all" else (mode,)
-        outcomes = {m: _SOLVERS[m](inst) for m in modes}
+        outcomes = {m: equilibria.solve(m, inst) for m in modes}
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -17,9 +17,11 @@ The simultaneous-move solver classifies outcomes by the shared-carrier
 gain condition (both users' best gain at least ``1 + gamma_star`` times
 their second best on a common best carrier) and otherwise orthogonalizes.
 
-All utilities stored on outcomes are recomputed from the final powers via
-:mod:`specgame.game`; the candidate values are kept alongside as
-diagnostics.
+Every solved game puts each user on a single carrier, so the SINRs and
+utilities stored on outcomes are evaluated from the two final (carrier,
+power) pairs directly; the candidate values are kept alongside as
+diagnostics.  ``SOLVERS`` maps each sweep mode to its solver, and
+``solve`` looks the solver up at call time.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import game
 from .channel import ChannelMatrix, best_two_carriers
 from .errors import PreconditionError, SolverFailure
-from .efficiency import solve_beta_star
+from .efficiency import _BISECT_TOL, solve_beta_star
 from .game import GameInstance, PowerAllocation, single_carrier_allocation
 
 STACKELBERG_EXACT = "StackelbergExact"
@@ -42,6 +43,14 @@ SOCIAL_OPTIMUM = "SocialOptimum"
 
 _TIE_REL = 1e-12
 _EPSILON_GRID_CAP = 400
+
+# mode -> solver attribute, resolved at call time so test doubles patched
+# onto this module take effect everywhere
+SOLVERS = {
+    "nash": "nash_solve",
+    "stackelberg": "stackelberg_solve",
+    "social": "social_optimum",
+}
 
 
 @dataclass(frozen=True)
@@ -97,22 +106,39 @@ class EquilibriumOutcome:
         return self.users[0].utility + self.users[1].utility
 
 
-def _outcome(inst, kind, carriers, powers, orthogonalized, **extra):
-    """Assemble an outcome, recomputing SINRs and utilities from powers."""
-    alloc = single_carrier_allocation(inst.K, zip(carriers, powers))
-    users = tuple(
-        UserOutcome(
-            carrier=carriers[n],
-            power=float(powers[n]),
-            sinr=game.sinr(inst, alloc, n, carriers[n]),
-            utility=game.utility(inst, alloc, n),
-        )
-        for n in (0, 1)
-    )
+def solve(mode: str, inst: GameInstance) -> EquilibriumOutcome:
+    """Solve ``inst`` with the solver ``SOLVERS`` names for ``mode``."""
+    return globals()[SOLVERS[mode]](inst)
+
+
+def _users(inst, carriers, powers):
+    """Per-user outcomes when user n puts ``powers[n]`` on ``carriers[n]`` only.
+
+    SINR is ``g p / (sigma2 + rival's received power on a shared carrier)``
+    and utility ``R f(SINR) / p``, 0 for a silent user, as in ``game.utility``.
+    """
+    g = inst.channel.gains
+    received = (g[0, carriers[0]] * powers[0], g[1, carriers[1]] * powers[1])
+    shared = carriers[0] == carriers[1]
+    users = []
+    for n in (0, 1):
+        p = float(powers[n])
+        s = float(received[n] / (inst.sigma2 + (received[1 - n] if shared else 0.0)))
+        u = inst.rates[n] * float(inst.efficiency.value(s)) / p if p != 0.0 else 0.0
+        users.append(UserOutcome(carrier=carriers[n], power=p, sinr=s, utility=u))
+    return tuple(users)
+
+
+def _outcome(inst, kind, carriers, powers=None, **extra):
+    """Assemble an outcome; ``powers`` defaults to gamma_star alone on each carrier."""
+    if powers is None:
+        g = inst.channel.gains
+        peak = inst.efficiency.gamma_star * inst.sigma2
+        powers = (peak / g[0, carriers[0]], peak / g[1, carriers[1]])
     return EquilibriumOutcome(
         kind=kind,
-        users=users,
-        orthogonalized=orthogonalized,
+        users=_users(inst, carriers, powers),
+        orthogonalized=carriers[0] != carriers[1],
         instance=inst,
         **extra,
     )
@@ -144,7 +170,7 @@ def _ranked(inst):
     return b1, s1, b2, s2
 
 
-def _leader_candidates(inst, b1, s1, b2, s2, solve_share=True):
+def _leader_candidates(inst, b1, s1, b2, s2):
     g = inst.channel.gains
     s2n = inst.sigma2
     f = inst.efficiency
@@ -162,16 +188,12 @@ def _leader_candidates(inst, b1, s1, b2, s2, solve_share=True):
 
     share_sinr = None
     share_value = None
-    if solve_share and gamma_hat > gs:
+    if gamma_hat > gs:
         x_max = gamma_hat / (1.0 + gs * (1.0 + gamma_hat))
         share_sinr = solve_beta_star(f, x_max)
         if share_sinr is not None:
-            one_minus = 1.0 - gs * share_sinr
-            if one_minus < 1e-9:
-                # near-singular sharing: rebuild the factor from logs
-                one_minus = float(np.exp(np.log1p(-gs * share_sinr)))
             share_value = (
-                R1 * float(f.value(share_sinr)) * one_minus * g[0, b1]
+                R1 * float(f.value(share_sinr)) * (1.0 - gs * share_sinr) * g[0, b1]
                 / (share_sinr * s2n * (1.0 + gs))
             )
     return gamma_hat, LeaderCandidates(
@@ -183,6 +205,14 @@ def _leader_candidates(inst, b1, s1, b2, s2, solve_share=True):
         vanish_value=vanish,
         best_alone_value=best_alone,
     )
+
+
+def _attainable(cand):
+    """The leader's exact options as (name, value), in tie-priority order."""
+    exact = [("deter", cand.deter_value), ("retreat", cand.retreat_value)]
+    if cand.share_value is not None:
+        exact.append(("share", cand.share_value))
+    return exact
 
 
 def stackelberg_solve(inst: GameInstance) -> EquilibriumOutcome:
@@ -202,25 +232,14 @@ def stackelberg_solve(inst: GameInstance) -> EquilibriumOutcome:
     b1, s1, b2, s2 = _ranked(inst)
 
     if b1 != b2:
-        carriers = (b1, b2)
-        powers = (gs * s2n / g[0, b1], gs * s2n / g[1, b2])
-        return _outcome(inst, STACKELBERG_EXACT, carriers, powers, True)
+        return _outcome(inst, STACKELBERG_EXACT, (b1, b2))
 
     gamma_hat, cand = _leader_candidates(inst, b1, s1, b2, s2)
 
     if gamma_hat <= gs:
-        carriers = (b1, s2)
-        powers = (gs * s2n / g[0, b1], gs * s2n / g[1, s2])
-        return _outcome(
-            inst, STACKELBERG_EXACT, carriers, powers, True, candidates=cand
-        )
+        return _outcome(inst, STACKELBERG_EXACT, (b1, s2), candidates=cand)
 
-    exact = [
-        ("deter", cand.deter_value),
-        ("retreat", cand.retreat_value),
-    ]
-    if cand.share_value is not None:
-        exact.append(("share", cand.share_value))
+    exact = _attainable(cand)
     best_exact = max(v for _, v in exact)
 
     if cand.vanish_value > best_exact:
@@ -236,30 +255,20 @@ def stackelberg_solve(inst: GameInstance) -> EquilibriumOutcome:
     if len(winners) > 1:
         notes.append("tie between candidate values: " + ", ".join(winners))
     winner = winners[0]  # list order encodes the tie priority
+    extra = dict(candidates=cand, notes=tuple(notes))
 
     if winner == "deter":
-        carriers = (b1, s2)
         powers = (gamma_hat * s2n / g[0, b1], gs * s2n / g[1, s2])
-        orthogonalized = True
-    elif winner == "retreat":
-        carriers = (s1, b2)
-        powers = (gs * s2n / g[0, s1], gs * s2n / g[1, b2])
-        orthogonalized = True
-    else:
-        bs = cand.share_sinr
-        one_minus = 1.0 - gs * bs
-        if one_minus < 1e-9:
-            one_minus = float(np.exp(np.log1p(-gs * bs)))
-        carriers = (b1, b2)
-        powers = (
-            bs * (1.0 + gs) * s2n / (g[0, b1] * one_minus),
-            gs * (1.0 + bs) * s2n / (g[1, b2] * one_minus),
-        )
-        orthogonalized = False
-    return _outcome(
-        inst, STACKELBERG_EXACT, carriers, powers, orthogonalized,
-        candidates=cand, notes=tuple(notes),
+        return _outcome(inst, STACKELBERG_EXACT, (b1, s2), powers, **extra)
+    if winner == "retreat":
+        return _outcome(inst, STACKELBERG_EXACT, (s1, b2), **extra)
+    bs = cand.share_sinr
+    one_minus = 1.0 - gs * bs
+    powers = (
+        bs * (1.0 + gs) * s2n / (g[0, b1] * one_minus),
+        gs * (1.0 + bs) * s2n / (g[1, b2] * one_minus),
     )
+    return _outcome(inst, STACKELBERG_EXACT, (b1, b2), powers, **extra)
 
 
 def _epsilon_outcome(inst, b1, b2, cand, epsilon, notes=()):
@@ -270,8 +279,8 @@ def _epsilon_outcome(inst, b1, b2, cand, epsilon, notes=()):
     alpha = gs * s2n / g[0, b1]
     for _ in range(_EPSILON_GRID_CAP):
         follower_power = gs * (s2n + g[0, b1] * alpha) / g[1, b2]
-        alloc = single_carrier_allocation(inst.K, [(b1, alpha), (b2, follower_power)])
-        if game.utility(inst, alloc, 0) >= target:
+        users = _users(inst, (b1, b2), (alpha, follower_power))
+        if users[0].utility >= target:
             break
         alpha *= 0.5
     else:
@@ -279,8 +288,8 @@ def _epsilon_outcome(inst, b1, b2, cand, epsilon, notes=()):
             "leader utility did not reach the vanishing-power target on the "
             f"geometric grid (epsilon={epsilon!r})"
         )
-    return _outcome(
-        inst, STACKELBERG_EPSILON, (b1, b2), (alpha, follower_power), False,
+    return EquilibriumOutcome(
+        kind=STACKELBERG_EPSILON, users=users, orthogonalized=False, instance=inst,
         candidates=cand, epsilon=epsilon, alpha=alpha, notes=tuple(notes),
     )
 
@@ -305,10 +314,7 @@ def epsilon_equilibrium(inst: GameInstance, epsilon: float) -> EquilibriumOutcom
     gamma_hat, cand = _leader_candidates(inst, b1, s1, b2, s2)
     if gamma_hat <= gs:
         raise PreconditionError("follower gap below gamma_star: exact equilibrium exists")
-    exact = [cand.deter_value, cand.retreat_value]
-    if cand.share_value is not None:
-        exact.append(cand.share_value)
-    if not cand.vanish_value > max(exact):
+    if not cand.vanish_value > max(v for _, v in _attainable(cand)):
         raise PreconditionError(
             "vanishing-power supremum does not dominate: exact equilibrium exists"
         )
@@ -321,7 +327,8 @@ def nash_solve(inst: GameInstance) -> EquilibriumOutcome:
     Sharing happens exactly when both users' best carrier coincides and
     each has best gain >= (1 + gamma_star) times his second best.  The
     shared fixed point solves both one-shot response equations only for
-    gamma_star < 1; past that it diverges, and the outcome keeps the
+    gamma_star < 1 (a solved root within the bisection tolerance 1e-12 of
+    1 counts as 1); past that it diverges, and the outcome keeps the
     carriers but reports infinite powers, zero utilities and the
     ``divergent`` flag.  Otherwise the game orthogonalizes: with distinct
     best carriers each user takes his own; on a contested carrier the user
@@ -330,24 +337,20 @@ def nash_solve(inst: GameInstance) -> EquilibriumOutcome:
     ratio tie).
     """
     g = inst.channel.gains
-    s2n = inst.sigma2
     gs = inst.efficiency.gamma_star
     b1, s1, b2, s2 = _ranked(inst)
 
     if b1 != b2:
-        carriers, powers = (b1, b2), (gs * s2n / g[0, b1], gs * s2n / g[1, b2])
-        return _outcome(inst, NASH_EXACT, carriers, powers, True)
+        return _outcome(inst, NASH_EXACT, (b1, b2))
 
     r1 = g[0, b1] / g[0, s1]
     r2 = g[1, b2] / g[1, s2]
     threshold = 1.0 + gs
 
     if r1 >= threshold and r2 >= threshold:
-        if gs < 1.0:
-            p1, p2 = shared_nash_powers(gs, s2n, (g[0, b1], g[1, b2]))
-            return _outcome(
-                inst, NASH_SHARED, (b1, b2), (p1, p2), False
-            )
+        if _shares_finitely(gs):
+            powers = shared_nash_powers(gs, inst.sigma2, (g[0, b1], g[1, b2]))
+            return _outcome(inst, NASH_SHARED, (b1, b2), powers)
         users = tuple(
             UserOutcome(carrier=(b1, b2)[n], power=np.inf, sinr=0.0, utility=0.0)
             for n in (0, 1)
@@ -367,13 +370,12 @@ def nash_solve(inst: GameInstance) -> EquilibriumOutcome:
         user1_yields = True
     else:
         user1_yields = r1 <= r2
-    if user1_yields:
-        carriers = (s1, b2)
-        powers = (gs * s2n / g[0, s1], gs * s2n / g[1, b2])
-    else:
-        carriers = (b1, s2)
-        powers = (gs * s2n / g[0, b1], gs * s2n / g[1, s2])
-    return _outcome(inst, NASH_EXACT, carriers, powers, True)
+    return _outcome(inst, NASH_EXACT, (s1, b2) if user1_yields else (b1, s2))
+
+
+def _shares_finitely(gamma_star):
+    """gamma_star < 1 beyond its solve tolerance: the shared fixed point is finite."""
+    return gamma_star < 1.0 - _BISECT_TOL
 
 
 def shared_nash_powers(gamma_star: float, sigma2: float, gains) -> tuple[float, float]:
@@ -382,9 +384,9 @@ def shared_nash_powers(gamma_star: float, sigma2: float, gains) -> tuple[float, 
     Each user wants SINR ``gamma_star`` over the other's interference:
     ``g_n p_n = gamma_star (sigma2 + g_m p_m)``, giving
     ``g_n p_n = gamma_star sigma2 / (1 - gamma_star)``.  Only meaningful
-    for ``gamma_star < 1``.
+    for ``gamma_star < 1``, by more than the bisection tolerance.
     """
-    if not gamma_star < 1.0:
+    if not _shares_finitely(gamma_star):
         raise PreconditionError(
             f"shared fixed point requires gamma_star < 1, got {gamma_star!r}"
         )
@@ -401,14 +403,10 @@ def social_optimum(inst: GameInstance) -> EquilibriumOutcome:
     maximizer on ties.
     """
     g = inst.channel.gains
-    s2n = inst.sigma2
-    gs = inst.efficiency.gamma_star
     score = inst.rates[0] * g[0][:, None] + inst.rates[1] * g[1][None, :]
     np.fill_diagonal(score, -np.inf)
     j, k = np.unravel_index(int(np.argmax(score)), score.shape)
-    carriers = (int(j), int(k))
-    powers = (gs * s2n / g[0, j], gs * s2n / g[1, k])
-    return _outcome(inst, SOCIAL_OPTIMUM, carriers, powers, True)
+    return _outcome(inst, SOCIAL_OPTIMUM, (int(j), int(k)))
 
 
 def swap_roles(inst: GameInstance) -> tuple[EquilibriumOutcome, EquilibriumOutcome]:

@@ -1,4 +1,4 @@
-"""Game instances, SINR and utility evaluation, and the grid-search oracle.
+"""Game instances and generic SINR and utility evaluation.
 
 The two users transmit over K shared carriers.  On carrier k, user n's
 SINR is ``g_n^k p_n^k / (sigma2 + g_m^k p_m^k)`` with m the other user, and
@@ -6,8 +6,9 @@ the utility is goodput per watt:
 
     u_n = R_n * sum_k f(sinr_n^k) / sum_k p_n^k     [bits/Joule]
 
-``brute_force_best_response`` is deliberately independent of every closed
-form in :mod:`specgame.equilibria`; it exists to validate them.
+The evaluators here take any (2, K) allocation; the solvers in
+:mod:`specgame.equilibria` evaluate their single-carrier outcomes with the
+same arithmetic, and the tests use these functions as the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from .channel import ChannelMatrix
 from .efficiency import EfficiencyModel
 from .errors import ConfigError
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+def check_sigma2_and_rates(sigma2, rates) -> tuple[float, float]:
+    """Validate the noise power and the two rates; return the rates as floats."""
+    if not sigma2 > 0.0:
+        raise ConfigError(f"sigma2 must be positive, got {sigma2!r}")
+    r = tuple(float(x) for x in rates)
+    if len(r) != 2 or not all(x > 0.0 for x in r):
+        raise ConfigError(f"rates must be two positive reals, got {rates!r}")
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,12 +42,7 @@ class GameInstance:
     efficiency: EfficiencyModel
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2!r}")
-        r = tuple(float(x) for x in self.rates)
-        if len(r) != 2 or not all(x > 0.0 for x in r):
-            raise ConfigError(f"rates must be two positive reals, got {self.rates!r}")
-        object.__setattr__(self, "rates", r)
+        object.__setattr__(self, "rates", check_sigma2_and_rates(self.sigma2, self.rates))
 
     @property
     def K(self) -> int:
@@ -77,7 +81,7 @@ def effective_gain(inst: GameInstance, alloc: PowerAllocation, user: int, carrie
 
 
 def sinr(inst: GameInstance, alloc: PowerAllocation, user: int, carrier: int) -> float:
-    return effective_gain(inst, alloc, user, carrier) * float(alloc.p[user, carrier])
+    return float(sinr_matrix(inst, alloc)[user, carrier])
 
 
 def sinr_matrix(inst: GameInstance, alloc: PowerAllocation) -> np.ndarray:
@@ -103,81 +107,3 @@ def utility(inst: GameInstance, alloc: PowerAllocation, user: int) -> float:
 
 def utilities(inst: GameInstance, alloc: PowerAllocation) -> tuple[float, float]:
     return utility(inst, alloc, 0), utility(inst, alloc, 1)
-
-
-def _golden_max(fn, lo, hi, iters=80):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def brute_force_best_response(
-    inst: GameInstance,
-    opponent_powers,
-    user: int,
-    n_grid: int = 1200,
-    span: float = 1e4,
-) -> PowerAllocation:
-    """Best single-carrier reply found by grid search plus refinement.
-
-    Scans every carrier with ``n_grid`` log-spaced powers covering
-    ``span`` on either side of that carrier's natural power scale (the
-    scale only sets the window; the argmax inside it is free), widens the
-    window whenever the optimum lands on an edge, and polishes the best
-    point with golden-section search.  Single-carrier replies are
-    exhaustive here: splitting power over several carriers never beats
-    the best single carrier for these utilities.  Ties across carriers
-    resolve to the lower index.
-    """
-    if n_grid < 1000:
-        raise ConfigError(f"n_grid must be >= 1000, got {n_grid}")
-    opponent_powers = np.asarray(opponent_powers, dtype=float)
-    g = inst.channel.gains
-    other = 1 - user
-    eff = g[user] / (inst.sigma2 + g[other] * opponent_powers)
-    gs = inst.efficiency.gamma_star
-
-    f = inst.efficiency.value
-    R = inst.rates[user]
-
-    def rate_on(k):
-        h = eff[k]
-        return lambda p: R * float(f(h * p)) / p
-
-    for _ in range(10):
-        best = (-np.inf, 0, 0)
-        grids = []
-        for k in range(inst.K):
-            center = gs / eff[k]
-            grid = np.geomspace(center / span, center * span, n_grid)
-            grids.append(grid)
-            vals = R * f(eff[k] * grid) / grid
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), k, i)
-        _, k, i = best
-        if 0 < i < n_grid - 1:
-            break
-        span *= 100.0  # optimum on the window edge: widen and rescan
-    grid = grids[k]
-    lo = grid[i - 1] if i > 0 else grid[i] / 2.0
-    hi = grid[i + 1] if i < n_grid - 1 else grid[i] * 2.0
-    p_best, _ = _golden_max(rate_on(k), lo, hi)
-    if rate_on(k)(p_best) < best[0]:
-        p_best = float(grid[i])
-    p = np.zeros(inst.K)
-    p[k] = p_best
-    rows = [opponent_powers, p] if user == 1 else [p, opponent_powers]
-    return PowerAllocation(p=np.vstack(rows))

@@ -27,9 +27,9 @@ from . import equilibria
 from .channel import CorrelationSpec, best_two_carriers, sample_channel
 from .efficiency import EfficiencyModel, ExponentialEfficiency
 from .errors import ConfigError
-from .game import GameInstance
+from .game import GameInstance, check_sigma2_and_rates
 
-MODES = ("nash", "stackelberg", "social")
+MODES = tuple(equilibria.SOLVERS)
 WORKERS_ENV = "SPECGAME_WORKERS"
 
 AGGREGATE_HEADER = (
@@ -40,14 +40,6 @@ TRIAL_HEADER = (
     "trial,K,rho,theta,mode,kind,orthogonalized,carrier1,carrier2,"
     "power1,power2,sinr1,sinr2,utility1,utility2,welfare,se,system_ee"
 )
-
-# mode -> solver attribute, resolved at call time so test doubles patched
-# onto the equilibria module take effect here too
-_SOLVERS = {
-    "nash": "nash_solve",
-    "stackelberg": "stackelberg_solve",
-    "social": "social_optimum",
-}
 
 
 @dataclass(frozen=True)
@@ -82,10 +74,7 @@ class SweepConfig:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not self.sigma2 > 0.0:
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2!r}")
-        if len(self.rates) != 2 or not all(r > 0.0 for r in self.rates):
-            raise ConfigError(f"rates must be two positive reals, got {self.rates!r}")
+        check_sigma2_and_rates(self.sigma2, self.rates)
         if not self.modes:
             raise ConfigError("modes must be non-empty")
         if len(set(self.modes)) != len(self.modes):
@@ -192,7 +181,7 @@ def run_trial(
     b1, s1 = best_two_carriers(channel, 0)
     b2, s2 = best_two_carriers(channel, 1)
     stats = tuple(
-        _mode_stats(mode, getattr(equilibria, _SOLVERS[mode])(inst))
+        _mode_stats(mode, equilibria.solve(mode, inst))
         for mode in config.modes
     )
     return TrialRecord(
@@ -302,6 +291,7 @@ def run_sweep(
 
 
 def _fmt(value: float) -> str:
+    """Every float in CSV and command-line output: 9 significant digits."""
     return format(float(value), ".9g")
 
 

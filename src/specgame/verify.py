@@ -5,6 +5,10 @@ direct numerical maximization for the solvers, derived reference values for
 the Monte Carlo frequencies, moment statistics for the channel sampler.
 Solvers are looked up on :mod:`specgame.equilibria` at call time so a
 deliberately corrupted solver (patched onto the module) is caught.
+
+The grid oracles (``brute_force_best_response`` and the leader and social
+searches below) are deliberately independent of every closed form in
+:mod:`specgame.equilibria`; they exist to validate them.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, equilibria, game, sweep
+from . import analysis, equilibria, sweep
 from .channel import ChannelMatrix, CorrelationSpec, sample_channel
 from .efficiency import ExponentialEfficiency, RationalSigmoidEfficiency
-from .game import GameInstance
+from .equilibria import _TIE_REL
+from .errors import ConfigError
+from .game import GameInstance, PowerAllocation
 
-_TIE_REL = 1e-12  # must mirror the follower tie band
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,84 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return all(r.passed for r in self.results)
+
+
+def _golden_max(fn, lo, hi, iters=80):
+    """Golden-section maximization of a unimodal function on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def brute_force_best_response(
+    inst: GameInstance,
+    opponent_powers,
+    user: int,
+    n_grid: int = 1200,
+    span: float = 1e4,
+) -> PowerAllocation:
+    """Best single-carrier reply found by grid search plus refinement.
+
+    Scans every carrier with ``n_grid`` log-spaced powers covering
+    ``span`` on either side of that carrier's natural power scale (the
+    scale only sets the window; the argmax inside it is free), widens the
+    window whenever the optimum lands on an edge, and polishes the best
+    point with golden-section search.  Single-carrier replies are
+    exhaustive here: splitting power over several carriers never beats
+    the best single carrier for these utilities.  Ties across carriers
+    resolve to the lower index.
+    """
+    if n_grid < 1000:
+        raise ConfigError(f"n_grid must be >= 1000, got {n_grid}")
+    opponent_powers = np.asarray(opponent_powers, dtype=float)
+    g = inst.channel.gains
+    other = 1 - user
+    eff = g[user] / (inst.sigma2 + g[other] * opponent_powers)
+    gs = inst.efficiency.gamma_star
+
+    f = inst.efficiency.value
+    R = inst.rates[user]
+
+    def rate_on(k):
+        h = eff[k]
+        return lambda p: R * float(f(h * p)) / p
+
+    for _ in range(10):
+        best = (-np.inf, 0, 0)
+        grids = []
+        for k in range(inst.K):
+            center = gs / eff[k]
+            grid = np.geomspace(center / span, center * span, n_grid)
+            grids.append(grid)
+            vals = R * f(eff[k] * grid) / grid
+            i = int(np.argmax(vals))
+            if vals[i] > best[0]:
+                best = (float(vals[i]), k, i)
+        _, k, i = best
+        if 0 < i < n_grid - 1:
+            break
+        span *= 100.0  # optimum on the window edge: widen and rescan
+    grid = grids[k]
+    lo = grid[i - 1] if i > 0 else grid[i] / 2.0
+    hi = grid[i + 1] if i < n_grid - 1 else grid[i] * 2.0
+    p_best, _ = _golden_max(rate_on(k), lo, hi)
+    if rate_on(k)(p_best) < best[0]:
+        p_best = float(grid[i])
+    p = np.zeros(inst.K)
+    p[k] = p_best
+    rows = [opponent_powers, p] if user == 1 else [p, opponent_powers]
+    return PowerAllocation(p=np.vstack(rows))
 
 
 def _random_instance(rng, K, efficiency, sigma2=1.0, rates=(1.0, 1.0)):
@@ -61,7 +145,7 @@ def _check_gamma_star_stationarity() -> CheckResult:
         def per_watt(x):
             return float(model.value(x)) / x
 
-        _, found_peak = game._golden_max(per_watt, gs / 50.0, gs * 50.0)
+        _, found_peak = _golden_max(per_watt, gs / 50.0, gs * 50.0)
         worst = max(worst, abs(found_peak - target) / target)
     return CheckResult(
         "gamma_star_stationarity",
@@ -78,7 +162,7 @@ def _check_follower_oracle(seed, instances=200) -> CheckResult:
         leader = np.zeros(K)
         leader[int(rng.integers(0, K))] = float(rng.exponential(5.0))
         reply = equilibria.follower_best_response(inst, leader)
-        oracle = game.brute_force_best_response(inst, leader, user=1).p[1]
+        oracle = brute_force_best_response(inst, leader, user=1).p[1]
         k_closed, k_grid = int(np.argmax(reply)), int(np.argmax(oracle))
         if k_closed != k_grid:
             # accept a genuine near-tie between carriers
@@ -153,7 +237,7 @@ def _leader_oracle(inst, n_grid=1500):
         rank = int(np.where(order == i)[0][0])
         lo = powers[order[max(rank - 1, 0)]]
         hi = powers[order[min(rank + 1, len(powers) - 1)]]
-        _, refined = game._golden_max(
+        _, refined = _golden_max(
             lambda p: float(_leader_reply_utilities(inst, c, np.array([p]))[0]),
             lo, hi,
         )

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from specgame import (
+    CorrelationSpec,
     ExponentialEfficiency,
+    GameInstance,
     PowerAllocation,
     PreconditionError,
     RationalSigmoidEfficiency,
@@ -14,6 +16,7 @@ from specgame import (
     epsilon_equilibrium,
     follower_best_response,
     nash_solve,
+    sample_channel,
     shared_nash_powers,
     social_optimum,
     solve_beta_star,
@@ -28,6 +31,7 @@ from specgame.equilibria import (
     STACKELBERG_EPSILON,
     STACKELBERG_EXACT,
 )
+from specgame.game import sinr
 from support import ScaledExponentialEfficiency, make_instance, random_instance
 
 M100 = ExponentialEfficiency(M=100)
@@ -41,6 +45,7 @@ def assert_consistent(outcome):
         return
     alloc = outcome.allocation()
     for u, user in enumerate(outcome.users):
+        assert user.sinr == sinr(inst, alloc, u, user.carrier)
         assert user.utility == pytest.approx(utility(inst, alloc, u), rel=1e-12, abs=1e-300)
     assert outcome.welfare == pytest.approx(
         outcome.users[0].utility + outcome.users[1].utility, rel=1e-12
@@ -241,8 +246,6 @@ class TestNash:
         gs = sc.gamma_star
         # both at the stationary SINR against each other's interference
         alloc = out.allocation()
-        from specgame.game import sinr
-
         assert sinr(inst, alloc, 0, 0) == pytest.approx(gs, rel=1e-9)
         assert sinr(inst, alloc, 1, 0) == pytest.approx(gs, rel=1e-9)
         p1, p2 = shared_nash_powers(gs, 1.0, (10.0, 10.0))
@@ -259,6 +262,19 @@ class TestNash:
     def test_shared_powers_need_peak_below_one(self):
         with pytest.raises(PreconditionError):
             shared_nash_powers(GS, 1.0, (10.0, 10.0))
+
+    def test_peak_at_one_diverges(self):
+        # gamma_star = 1 exactly, solved to within the bisection tolerance
+        # just below 1: still the divergent case, not a huge finite fixed point
+        rs = RationalSigmoidEfficiency()
+        assert rs.gamma_star == pytest.approx(1.0, abs=1e-12)
+        out = nash_solve(make_instance([[100.0, 1.0], [100.0, 1.0]], efficiency=rs))
+        assert out.kind == NASH_SHARED
+        assert out.divergent
+        assert [u.power for u in out.users] == [math.inf, math.inf]
+        assert out.welfare == 0.0
+        with pytest.raises(PreconditionError):
+            shared_nash_powers(rs.gamma_star, 1.0, (100.0, 100.0))
 
     def test_one_ratio_above_threshold_other_yields(self):
         inst = make_instance([[10.0, 1.0], [3.0, 1.0]])
@@ -383,6 +399,26 @@ class TestCrossSolverProperties:
             nash = nash_solve(inst)
             assert nash.kind == NASH_SHARED
         assert shared > 0
+
+    def test_utility_is_bitwise_rate_of_reported_sinr(self):
+        # one route from powers to SINR and utility: the stored utility is
+        # exactly R * f(sinr) / power for the stored sinr and power
+        for f in (M100, ExponentialEfficiency(M=2), RationalSigmoidEfficiency()):
+            for K in (2, 4, 8):
+                for t in range(100):
+                    inst = GameInstance(
+                        channel=sample_channel(K, CorrelationSpec(), 0, t),
+                        sigma2=1.0, rates=(1.0, 1.0), efficiency=f,
+                    )
+                    for solve in (nash_solve, stackelberg_solve, social_optimum):
+                        out = solve(inst)
+                        if out.divergent:
+                            continue
+                        for n, u in enumerate(out.users):
+                            expected = inst.rates[n] * f.value(u.sinr) / u.power
+                            assert u.utility == expected, (
+                                f, K, t, solve.__name__, n, u.utility, expected
+                            )
 
     def test_outcomes_recompute_cleanly(self):
         rng = np.random.default_rng(104)

@@ -1,5 +1,6 @@
 """Monte Carlo sweeps: determinism, aggregation, per-trial invariants, CSV shape."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from specgame import (
     ConfigError,
     CorrelationSpec,
+    ExponentialEfficiency,
     SweepConfig,
     p_gain_condition_iid,
     run_sweep,
@@ -309,3 +311,45 @@ class TestCsvFiles:
         a = res.aggregates[0]
         assert row["welfare_mean"] == format(a.welfare_mean, ".9g")
         assert row["p_no_orth"] == format(a.p_no_orth, ".9g")
+
+
+class TestCsvCanary:
+    """Pinned SHA-256 digests of small exponential-model sweeps.
+
+    Recorded with numpy 2.4.6 on CPython 3.11.  A solver or formatting
+    change that moves a byte here has to show why the new byte is at least
+    as right before the digests are re-recorded.
+    """
+
+    CASES = {
+        "iid_M100": (
+            dict(K_list=[2, 4], trials=150, seed=11,
+                 efficiency=ExponentialEfficiency(M=100)),
+            "dcdae8fb60ba2610f416907d863ff8c41fc5088f6aada135d7ea666b69fc11d8",
+            "fd988f5c484995f1fffcceea14cf89d68f9fe28b0cd2b7ddee8b2eede9a0709a",
+        ),
+        "correlated_M2": (
+            dict(K_list=[3], rho_list=[0.5], theta_list=[0.6], trials=150,
+                 seed=11, efficiency=ExponentialEfficiency(M=2)),
+            "c6f6ee66b46c2daa03fe70fa97791a0cd8a15b607b768290ded5bc7ee5ac1a4a",
+            "6fda25c0eb50b95ed77f166de5097e10b9af6c92c16e2c452b745fc4c0f9331a",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digests(self, name, tmp_path):
+        kwargs, agg_digest, tri_digest = self.CASES[name]
+        res = run_sweep(SweepConfig(**kwargs), per_trial=True)
+        agg, tri = tmp_path / "agg.csv", tmp_path / "agg.trials.csv"
+        write_aggregate_csv(res.aggregates, agg)
+        write_trial_csv(res.trials, tri)
+        got = (
+            hashlib.sha256(agg.read_bytes()).hexdigest(),
+            hashlib.sha256(tri.read_bytes()).hexdigest(),
+        )
+        assert got == (agg_digest, tri_digest), (
+            f"{name}: sweep CSV bytes changed. If no solver or formatting code "
+            "changed, suspect drift in numpy's Generator streams (NEP 19 does "
+            "not promise them stable across numpy versions) or in libm "
+            "(exp/expm1/pow rounding), and re-record the digests."
+        )
