@@ -63,6 +63,19 @@ class ChannelMatrix:
         return self.gains.shape[1]
 
 
+def top_two(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the highest and second-highest entries along the last axis.
+
+    Ties go to the lower index, exactly as in a stable descending sort: the
+    best is the first maximum, the second the first maximum once the best
+    is masked out.
+    """
+    best = np.argmax(gains, axis=-1)
+    masked = np.array(gains, dtype=float).reshape(-1, gains.shape[-1])
+    masked[np.arange(len(masked)), best.ravel()] = -np.inf
+    return best, np.argmax(masked, axis=-1).reshape(best.shape)
+
+
 def best_two_carriers(channel: ChannelMatrix, user: int) -> tuple[int, int]:
     """Indices of the user's highest- and second-highest-gain carriers.
 
@@ -71,13 +84,51 @@ def best_two_carriers(channel: ChannelMatrix, user: int) -> tuple[int, int]:
     """
     if user not in (0, 1):
         raise ConfigError(f"user must be 0 or 1, got {user!r}")
-    order = np.argsort(-channel.gains[user], kind="stable")
-    return int(order[0]), int(order[1])
+    best, second = top_two(channel.gains[user])
+    return int(best), int(second)
 
 
-def _complex_rows(z: np.ndarray) -> np.ndarray:
-    # unit-variance complex: E|c|^2 = (E a^2 + E b^2) / 2 = 1
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+def sample_gains(
+    K: int, spec: CorrelationSpec, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Gains of trials ``start`` to ``stop - 1``, stacked to shape (n, 2, K).
+
+    Row i is bit-identical to ``sample_channel(K, spec, seed, start + i)``:
+    one Philox bit generator is re-keyed to ``(seed, trial)`` through its
+    state for every trial, which draws exactly what a fresh generator with
+    that key would.  Each trial reads one (3 + 3K, 2) standard-normal block
+    as the three shared scalars (user factor, then one per-user factor
+    each) followed by the K carrier factors and the two K-sized per-user
+    carrier factors.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # zero counter, empty buffer
+    normals = np.empty((stop - start, 3 + 3 * K, 2))
+    for i, trial in enumerate(range(start, stop)):
+        fresh["state"]["key"] = np.array([seed, trial], dtype=np.uint64)
+        bitgen.state = fresh
+        rng.standard_normal(out=normals[i])
+    # pairs (a, b) read as a + ib, scaled to unit variance: E|z|^2 = 1
+    z = normals.view(np.complex128)[..., 0]
+    z /= np.sqrt(2.0)
+    w_user = z[:, 0, None]
+    w_per_user = z[:, 1:3, None]
+    u_carrier = z[:, 3 : 3 + K]
+    v_carrier = z[:, 3 + K :].reshape(-1, 2, K)
+
+    # updated in place, so the temporaries stay near the size of the normals;
+    # c * x + d * y is formed as d * y + c * x, which rounds identically
+    rho = spec.rho_carrier
+    u = np.sqrt(1.0 - rho) * u_carrier
+    u += np.sqrt(rho) * w_user
+    v = np.sqrt(1.0 - rho) * v_carrier
+    v += np.sqrt(rho) * w_per_user
+
+    theta = spec.theta_user
+    v *= np.sqrt(1.0 - theta)
+    v += np.sqrt(theta) * u[:, None, :]  # v now holds the user mix
+    return (v.real**2 + v.imag**2) * spec.mean_gain
 
 
 def sample_channel(
@@ -85,29 +136,11 @@ def sample_channel(
 ) -> ChannelMatrix:
     """Draw one correlated Rayleigh gain matrix for trial ``trial_index``.
 
-    Bit-identical output for identical arguments.  The draw order is fixed:
-    one (3 + 3K, 2) standard-normal block read as the three shared scalars
-    (user factor, then one per-user factor each) followed by the K carrier
-    factors and the two K-sized per-user carrier factors.
+    Bit-identical output for identical arguments; the one-row case of
+    :func:`sample_gains`.
     """
     if K < 2:
         raise ConfigError(f"K must be >= 2, got {K!r}")
     if seed < 0 or trial_index < 0:
         raise ConfigError("seed and trial_index must be nonnegative")
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, trial_index], dtype=np.uint64))
-    )
-    z = _complex_rows(rng.standard_normal((3 + 3 * K, 2)))
-    w_user = z[0]
-    w_per_user = z[1:3]
-    u_carrier = z[3 : 3 + K]
-    v_carrier = z[3 + K :].reshape(2, K)
-
-    rho = spec.rho_carrier
-    u = np.sqrt(rho) * w_user + np.sqrt(1.0 - rho) * u_carrier
-    v = np.sqrt(rho) * w_per_user[:, None] + np.sqrt(1.0 - rho) * v_carrier
-
-    theta = spec.theta_user
-    mix = np.sqrt(theta) * u[None, :] + np.sqrt(1.0 - theta) * v
-    gains = (mix.real**2 + mix.imag**2) * spec.mean_gain
-    return ChannelMatrix(gains=gains)
+    return ChannelMatrix(gains=sample_gains(K, spec, seed, trial_index, trial_index + 1)[0])

@@ -55,6 +55,17 @@ class EfficiencyModel:
     def derivative(self, x):
         raise NotImplementedError
 
+    def value_each(self, x) -> np.ndarray:
+        """f at every SINR in the 1-D array ``x``, each rounded exactly as
+        ``value(float(x_i))``.
+
+        The batched solvers evaluate f here so that their numbers equal the
+        scalar solvers' bit for bit.  This default calls ``value`` once per
+        entry; subclasses whose array path rounds like their scalar path
+        may vectorise.
+        """
+        return np.array([float(self.value(v)) for v in _as_float_array(x).tolist()])
+
     def gamma_star_residual(self, x):
         """Residual of the peak-rate condition, x f'(x) - f(x)."""
         x = _as_float_array(x)
@@ -90,6 +101,13 @@ class ExponentialEfficiency(EfficiencyModel):
         x = _as_float_array(x)
         out = (-np.expm1(-x)) ** self.M
         return _match_scalar(x, out)
+
+    def value_each(self, x) -> np.ndarray:
+        # a scalar ``** M`` is libm's pow; numpy's array power may take a
+        # SIMD pow that rounds differently, so the power runs on Python floats
+        base = -np.expm1(-_as_float_array(x))
+        M = self.M
+        return np.array([b**M for b in base.tolist()])
 
     def derivative(self, x):
         x = _as_float_array(x)
@@ -131,6 +149,9 @@ class RationalSigmoidEfficiency(EfficiencyModel):
         lo = np.expm1(-0.5 * np.log1p(-np.minimum(x, _RS_KNEE)))
         hi = _RS_SAT - _RS_NUM / (32.0 * np.maximum(x, _RS_KNEE) + _RS_OFF)
         return _match_scalar(x, np.where(x <= _RS_KNEE, lo, hi))
+
+    def value_each(self, x) -> np.ndarray:
+        return self.value(_as_float_array(x))  # rounds like the scalar path
 
     def derivative(self, x):
         x = _as_float_array(x)

@@ -22,18 +22,32 @@ utilities stored on outcomes are evaluated from the two final (carrier,
 power) pairs directly; the candidate values are kept alongside as
 diagnostics.  ``SOLVERS`` maps each sweep mode to its solver, and
 ``solve`` looks the solver up at call time.
+
+Sweeps solve many games at once with ``solve_rows``, which reproduces the
+scalar solvers bit for bit in closed form on arrays.  Only Stackelberg
+rows whose best carrier is contested and whose follower gap exceeds
+``gamma_star`` (the leader's four-way comparison, with its beta_star scan
+and epsilon fallback) fall back to ``solve``.  A solver patched onto this
+module therefore reaches a sweep only on those rows; ``solve`` and direct
+calls always see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, best_two_carriers
+from .channel import ChannelMatrix, best_two_carriers, top_two
 from .errors import PreconditionError, SolverFailure
-from .efficiency import _BISECT_TOL, solve_beta_star
-from .game import GameInstance, PowerAllocation, single_carrier_allocation
+from .efficiency import _BISECT_TOL, EfficiencyModel, solve_beta_star
+from .game import (
+    GameInstance,
+    PowerAllocation,
+    check_sigma2_and_rates,
+    single_carrier_allocation,
+)
 
 STACKELBERG_EXACT = "StackelbergExact"
 STACKELBERG_EPSILON = "StackelbergEpsilon"
@@ -45,7 +59,8 @@ _TIE_REL = 1e-12
 _EPSILON_GRID_CAP = 400
 
 # mode -> solver attribute, resolved at call time so test doubles patched
-# onto this module take effect everywhere
+# onto this module take effect in ``solve``; batched sweeps (``solve_rows``)
+# call it only for contested Stackelberg rows with follower gap > gamma_star
 SOLVERS = {
     "nash": "nash_solve",
     "stackelberg": "stackelberg_solve",
@@ -436,3 +451,170 @@ def swap_roles(inst: GameInstance) -> tuple[EquilibriumOutcome, EquilibriumOutco
         notes=raw.notes + ("user 2 led this orientation",),
     )
     return as_leader, as_follower
+
+
+# Batched solvers: one mode on many games at once.  Every number equals what
+# the scalar solver above returns for the same row, bit for bit: the
+# arithmetic is the same, in the same order, and f is evaluated through
+# ``EfficiencyModel.value_each``.
+
+KINDS = (NASH_EXACT, NASH_SHARED, STACKELBERG_EXACT, STACKELBERG_EPSILON, SOCIAL_OPTIMUM)
+
+
+class GameRows:
+    """n games that share noise power, rates and efficiency curve.
+
+    ``gains`` has shape (n, 2, K).  ``best`` and ``second`` hold each
+    user's strongest and second-strongest carrier, shape (2, n), ranked
+    once for every mode with the tie rule of ``best_two_carriers``;
+    ``best_gains`` and ``second_gains`` hold the gains there.
+    """
+
+    def __init__(self, gains: np.ndarray, sigma2: float, rates, efficiency: EfficiencyModel):
+        self.gains = gains
+        self.sigma2 = sigma2
+        self.rates = check_sigma2_and_rates(sigma2, rates)
+        self.efficiency = efficiency
+        best, second = top_two(gains)
+        self.best, self.second = best.T, second.T
+        self.best_gains = self.gains_at(self.best)
+        self.second_gains = self.gains_at(self.second)
+
+    def gains_at(self, carriers: np.ndarray) -> np.ndarray:
+        """Gain of user n on ``carriers[n]`` in every row, shape (2, n)."""
+        rows = np.arange(self.gains.shape[0])
+        return self.gains[rows, np.array([[0], [1]]), carriers]
+
+    def instance(self, row: int) -> GameInstance:
+        return GameInstance(
+            channel=ChannelMatrix(gains=self.gains[row]),
+            sigma2=self.sigma2,
+            rates=self.rates,
+            efficiency=self.efficiency,
+        )
+
+
+class RowOutcomes(NamedTuple):
+    """One mode solved on every row of a ``GameRows``.
+
+    ``kind`` indexes ``KINDS``; the per-user fields have shape (2, n), so
+    ``powers[0]`` holds user 1's power in every row.
+    """
+
+    kind: np.ndarray
+    carriers: np.ndarray
+    powers: np.ndarray
+    sinrs: np.ndarray
+    utilities: np.ndarray
+    divergent: np.ndarray
+
+    def set_row(self, row: int, outcome: EquilibriumOutcome) -> None:
+        """Overwrite one row with a scalar solver's outcome."""
+        self.kind[row] = KINDS.index(outcome.kind)
+        for n, user in enumerate(outcome.users):
+            self.carriers[n, row] = user.carrier
+            self.powers[n, row] = user.power
+            self.sinrs[n, row] = user.sinr
+            self.utilities[n, row] = user.utility
+        self.divergent[row] = outcome.divergent
+
+
+def _row_outcomes(rows, kind, carriers, received=None):
+    """Batched ``_outcome``: user n alone on ``carriers[n]`` in every row.
+
+    ``kind`` is an index into ``KINDS``, one for all rows or one per row.
+    Each power is ``received / g`` on the user's carrier; ``received``
+    defaults to ``gamma_star * sigma2``, the interference-free peak.
+    """
+    carriers = np.stack(carriers)
+    g = rows.gains_at(carriers)
+    if received is None:
+        received = rows.efficiency.gamma_star * rows.sigma2
+    powers = received / g
+    rx = g * powers
+    interference = np.where(carriers[0] == carriers[1], rx[::-1], 0.0)
+    sinrs = rx / (rows.sigma2 + interference)
+    utilities = np.zeros_like(powers)
+    for n in (0, 1):
+        rate = rows.rates[n] * rows.efficiency.value_each(sinrs[n])
+        np.divide(rate, powers[n], out=utilities[n], where=powers[n] != 0.0)
+    return RowOutcomes(
+        kind=np.broadcast_to(kind, carriers.shape[1:]).astype(np.int8),
+        carriers=carriers,
+        powers=powers,
+        sinrs=sinrs,
+        utilities=utilities,
+        divergent=np.zeros(carriers.shape[1], dtype=bool),
+    )
+
+
+def _nash_rows(rows):
+    gs = rows.efficiency.gamma_star
+    (b1, b2), (s1, s2) = rows.best, rows.second
+    r1, r2 = rows.best_gains / rows.second_gains
+    threshold = 1.0 + gs
+    contested = b1 == b2
+    shared = contested & (r1 >= threshold) & (r2 >= threshold)
+    user1_yields = np.where(
+        (r1 >= threshold) & (threshold > r2),
+        False,
+        np.where((r2 >= threshold) & (threshold > r1), True, r1 <= r2),
+    )
+    yielding = contested & ~shared
+    carriers = (
+        np.where(yielding & user1_yields, s1, b1),
+        np.where(yielding & ~user1_yields, s2, b2),
+    )
+    kind = np.where(shared, KINDS.index(NASH_SHARED), KINDS.index(NASH_EXACT))
+    if not _shares_finitely(gs):
+        out = _row_outcomes(rows, kind, carriers)
+        out.powers[:, shared] = np.inf
+        out.sinrs[:, shared] = 0.0
+        out.utilities[:, shared] = 0.0
+        out.divergent[shared] = True
+        return out
+    peak = gs * rows.sigma2
+    received = np.where(shared, peak / (1.0 - gs), peak)
+    return _row_outcomes(rows, kind, carriers, received)
+
+
+def _stackelberg_rows(rows):
+    gs = rows.efficiency.gamma_star
+    (b1, b2), s2 = rows.best, rows.second[1]
+    contested = b1 == b2
+    g_best, g_second = rows.best_gains[1], rows.second_gains[1]
+    gamma_hat = (g_best - g_second) / g_second
+    out = _row_outcomes(
+        rows, KINDS.index(STACKELBERG_EXACT), (b1, np.where(contested, s2, b2))
+    )
+    for row in np.flatnonzero(contested & (gamma_hat > gs)).tolist():
+        out.set_row(row, solve("stackelberg", rows.instance(row)))
+    return out
+
+
+def _social_rows(rows):
+    g = rows.gains
+    n, _, K = g.shape
+    score = (rows.rates[0] * g[:, 0])[:, :, None] + (rows.rates[1] * g[:, 1])[:, None, :]
+    diagonal = np.arange(K)
+    score[:, diagonal, diagonal] = -np.inf
+    flat = np.argmax(score.reshape(n, K * K), axis=1)
+    return _row_outcomes(rows, KINDS.index(SOCIAL_OPTIMUM), (flat // K, flat % K))
+
+
+_ROW_SOLVERS = {
+    "nash": _nash_rows,
+    "stackelberg": _stackelberg_rows,
+    "social": _social_rows,
+}
+
+
+def solve_rows(mode: str, rows: GameRows) -> RowOutcomes:
+    """Solve every row of ``rows`` in ``mode``, as ``solve`` would row by row.
+
+    Rows go through closed forms on arrays.  Only Stackelberg rows whose
+    best carrier is contested and whose follower gap exceeds gamma_star
+    (where the leader weighs sharing, deterring, retreating and vanishing)
+    are handed to the solver ``SOLVERS`` names, looked up at call time.
+    """
+    return _ROW_SOLVERS[mode](rows)

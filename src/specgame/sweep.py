@@ -2,11 +2,21 @@
 
 Each trial is keyed by ``(seed, trial_index)`` through a counter-based
 generator, so any trial can be recomputed in isolation and the grid can be
-split across processes freely.  Aggregation always runs over the records
+split across processes freely.  Aggregation always runs over the trials
 in trial order, which makes the output byte-identical for every worker
 count.  Reusing the same trial indices across grid cells is deliberate:
 cells share underlying fading draws, so curves over ``rho`` and ``theta``
 are paired comparisons rather than independent resamples.
+
+``run_sweep`` solves each cell on arrays, a chunk of trials at a time, and
+stores exactly what ``run_trial`` stores for every trial: the draws, the
+carrier ranking, the closed forms and f are evaluated with the scalar
+path's rounding (``EfficiencyModel.value_each``).  The scalar Stackelberg
+solver, looked up on :mod:`specgame.equilibria` at call time, runs only
+for trials whose leader carrier is contested with a follower gap above
+``gamma_star``; a solver patched onto that module reaches the sweep only
+there.  ``run_trial`` solves one trial the scalar way and is the reference
+the batched path is tested against.
 
 The per-trial spectral efficiency is the per-user average
 ``(1/2) * sum_n log2(1 + SINR_n)``; under full orthogonalization at
@@ -20,17 +30,22 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import equilibria
-from .channel import CorrelationSpec, best_two_carriers, sample_channel
+from .channel import CorrelationSpec, best_two_carriers, sample_channel, sample_gains
 from .efficiency import EfficiencyModel, ExponentialEfficiency
 from .errors import ConfigError
 from .game import GameInstance, check_sigma2_and_rates
 
 MODES = tuple(equilibria.SOLVERS)
 WORKERS_ENV = "SPECGAME_WORKERS"
+SEED_MAX = 2**64 - 1  # the seed is one uint64 word of the Philox key
+# trials per batched chunk are chosen so that its normals, and with the
+# social mode its (trials, K, K) score, stay within this many bytes
+_CHUNK_BYTES = 256 * 1024
 
 AGGREGATE_HEADER = (
     "K,rho,theta,mode,trials,p_no_orth,p_no_orth_se,"
@@ -72,8 +87,10 @@ class SweepConfig:
                 CorrelationSpec(rho, theta, self.mean_gain)  # range checks
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(
+                f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}"
+            )
         check_sigma2_and_rates(self.sigma2, self.rates)
         if not self.modes:
             raise ConfigError("modes must be non-empty")
@@ -197,17 +214,122 @@ def run_trial(
     )
 
 
-def _run_span(args):
+class _ModeColumns(NamedTuple):
+    """One mode's outcomes on consecutive trials, plus the per-trial SE and EE."""
+
+    outcomes: equilibria.RowOutcomes
+    se: np.ndarray
+    system_ee: np.ndarray
+
+
+class _SpanColumns(NamedTuple):
+    """Consecutive trials of one cell as arrays; per-user fields have shape (2, n)."""
+
+    best: np.ndarray
+    second: np.ndarray
+    best_gains: np.ndarray
+    second_gains: np.ndarray
+    modes: tuple[_ModeColumns, ...]
+
+
+def _mode_columns(outcomes, f, rates) -> _ModeColumns:
+    """Batched ``_mode_stats``: the same operations in the same order."""
+    s0, s1 = outcomes.sinrs
+    p0, p1 = outcomes.powers
+    rate_sum = rates[0] * f.value_each(s0) + rates[1] * f.value_each(s1)
+    return _ModeColumns(
+        outcomes=outcomes,
+        se=0.5 * (np.log2(1.0 + s0) + np.log2(1.0 + s1)),
+        system_ee=rate_sum / (p0 + p1),
+    )
+
+
+def _chunk_trials(config: SweepConfig, K: int) -> int:
+    per_trial = 16 * (3 + 3 * K)  # normals: (3 + 3K, 2) float64
+    if "social" in config.modes:
+        per_trial = max(per_trial, 8 * K * K)
+    return max(1, _CHUNK_BYTES // per_trial)
+
+
+def _solve_chunk(config, spec, K, start, stop) -> _SpanColumns:
+    rows = equilibria.GameRows(
+        gains=sample_gains(K, spec, config.seed, start, stop),
+        sigma2=config.sigma2,
+        rates=config.rates,
+        efficiency=config.efficiency,
+    )
+    return _SpanColumns(
+        best=rows.best,
+        second=rows.second,
+        best_gains=rows.best_gains,
+        second_gains=rows.second_gains,
+        modes=tuple(
+            _mode_columns(equilibria.solve_rows(mode, rows), config.efficiency, rows.rates)
+            for mode in config.modes
+        ),
+    )
+
+
+def _joined(parts):
+    """Concatenate the arrays of consecutive spans along the trial axis."""
+    head = parts[0]
+    if len(parts) == 1:
+        return head
+    if isinstance(head, tuple):  # the NamedTuples above, or the tuple of modes
+        joined = [_joined(list(group)) for group in zip(*parts)]
+        return head._make(joined) if hasattr(head, "_make") else tuple(joined)
+    return np.concatenate(parts, axis=-1)
+
+
+def _run_span(args) -> _SpanColumns:
+    """Trials ``start`` to ``stop - 1`` of one cell, solved chunk by chunk."""
     config, K, rho, theta, start, stop = args
-    return [run_trial(config, K, rho, theta, i) for i in range(start, stop)]
+    spec = CorrelationSpec(rho_carrier=rho, theta_user=theta, mean_gain=config.mean_gain)
+    step = _chunk_trials(config, K)
+    return _joined([
+        _solve_chunk(config, spec, K, lo, min(lo + step, stop))
+        for lo in range(start, stop, step)
+    ])
 
 
-def _aggregate_cell(config, K, rho, theta, records):
+def _records(config, K, rho, theta, cols: _SpanColumns) -> list[TrialRecord]:
+    """The TrialRecords ``run_trial`` returns for the cell's trials, in order."""
+    per_mode = []
+    for mode, m in zip(config.modes, cols.modes):
+        o = m.outcomes
+        per_mode.append([
+            ModeStats(
+                mode=mode, kind=kind, orthogonalized=c0 != c1, carriers=(c0, c1),
+                powers=(p0, p1), sinrs=(s0, s1), utilities=(u0, u1),
+                welfare=u0 + u1, se=se, system_ee=ee, divergent=divergent,
+            )
+            for kind, c0, c1, p0, p1, s0, s1, u0, u1, se, ee, divergent in zip(
+                [equilibria.KINDS[k] for k in o.kind.tolist()],
+                *o.carriers.tolist(), *o.powers.tolist(), *o.sinrs.tolist(),
+                *o.utilities.tolist(), m.se.tolist(), m.system_ee.tolist(),
+                o.divergent.tolist(),
+            )
+        ])
+    return [
+        TrialRecord(
+            trial_index=t, K=K, rho=rho, theta=theta,
+            best_carriers=tuple(b), second_carriers=tuple(s),
+            best_gains=tuple(bg), second_gains=tuple(sg), stats=stats,
+        )
+        for t, (b, s, bg, sg, stats) in enumerate(zip(
+            cols.best.T.tolist(), cols.second.T.tolist(),
+            cols.best_gains.T.tolist(), cols.second_gains.T.tolist(),
+            zip(*per_mode),
+        ))
+    ]
+
+
+def _aggregate_cell(config, K, rho, theta, cols: _SpanColumns):
     rows = []
-    n = len(records)
-    for idx, mode in enumerate(config.modes):
-        stats = [r.stats[idx] for r in records]
-        p = sum(not s.orthogonalized for s in stats) / n
+    n = cols.best.shape[1]
+    for mode, m in zip(config.modes, cols.modes):
+        o = m.outcomes
+        p = int(np.count_nonzero(o.carriers[0] == o.carriers[1])) / n
         rows.append(
             AggregateStats(
                 K=K,
@@ -217,11 +339,11 @@ def _aggregate_cell(config, K, rho, theta, records):
                 trials=n,
                 p_no_orth=p,
                 p_no_orth_se=float(np.sqrt(p * (1.0 - p) / n)),
-                ee_mean=float(np.mean([s.system_ee for s in stats])),
-                ee_user1=float(np.mean([s.utilities[0] for s in stats])),
-                ee_user2=float(np.mean([s.utilities[1] for s in stats])),
-                se_mean=float(np.mean([s.se for s in stats])),
-                welfare_mean=float(np.mean([s.welfare for s in stats])),
+                ee_mean=float(np.mean(m.system_ee)),
+                ee_user1=float(np.mean(o.utilities[0])),
+                ee_user2=float(np.mean(o.utilities[1])),
+                se_mean=float(np.mean(m.se)),
+                welfare_mean=float(np.mean(o.utilities[0] + o.utilities[1])),
             )
         )
     return rows
@@ -236,9 +358,12 @@ def _resolve_workers(workers) -> int:
             workers = int(env)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if not isinstance(workers, int) or workers < 1:
+    if (
+        not isinstance(workers, (int, np.integer)) or isinstance(workers, bool)
+        or workers < 1
+    ):
         raise ConfigError(f"worker count must be an integer >= 1, got {workers!r}")
-    return workers
+    return int(workers)
 
 
 def run_sweep(
@@ -250,6 +375,10 @@ def run_sweep(
     then to 1 (inline, no subprocesses).  Results are byte-identical for
     every worker count; ``per_trial=True`` additionally keeps every
     TrialRecord in grid-then-trial order.
+
+    Each cell is solved on arrays, a chunk of trials at a time, with the
+    same numbers ``run_trial`` gives trial by trial.  Pool workers return
+    arrays; TrialRecords are built here, and only for ``per_trial=True``.
     """
     workers = _resolve_workers(workers)
     cells = [
@@ -261,17 +390,14 @@ def run_sweep(
     aggregates: list[AggregateStats] = []
     kept: list[TrialRecord] | None = [] if per_trial else None
 
-    def _consume(K, rho, theta, records):
-        aggregates.extend(_aggregate_cell(config, K, rho, theta, records))
+    def _consume(K, rho, theta, cols):
+        aggregates.extend(_aggregate_cell(config, K, rho, theta, cols))
         if kept is not None:
-            kept.extend(records)
+            kept.extend(_records(config, K, rho, theta, cols))
 
     if workers == 1:
         for K, rho, theta in cells:
-            _consume(
-                K, rho, theta,
-                [run_trial(config, K, rho, theta, i) for i in range(config.trials)],
-            )
+            _consume(K, rho, theta, _run_span((config, K, rho, theta, 0, config.trials)))
     else:
         span = -(-config.trials // (workers * 4))  # ceil; ~4 spans per worker
         spans = [
@@ -281,8 +407,7 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for K, rho, theta in cells:
                 args = [(config, K, rho, theta, s, e) for s, e in spans]
-                records = [r for batch in pool.map(_run_span, args) for r in batch]
-                _consume(K, rho, theta, records)
+                _consume(K, rho, theta, _joined(list(pool.map(_run_span, args))))
     return SweepResult(
         config=config,
         aggregates=tuple(aggregates),

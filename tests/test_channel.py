@@ -12,6 +12,7 @@ from specgame import (
     best_two_carriers,
     sample_channel,
 )
+from specgame.channel import sample_gains, top_two
 
 
 def gain_stack(K, spec, seed, trials):
@@ -90,6 +91,17 @@ class TestDeterminism:
         b = sample_channel(5, spec, seed=8, trial_index=3)
         assert not np.array_equal(a.gains, b.gains)
 
+    def test_batched_rows_equal_single_draws(self):
+        # one re-keyed generator per batch draws what a fresh one per trial does
+        spec = CorrelationSpec(rho_carrier=0.4, theta_user=0.7, mean_gain=2.5)
+        single = np.stack([sample_channel(6, spec, 13, t).gains for t in range(3, 40)])
+        whole = sample_gains(6, spec, 13, 3, 40)
+        parts = np.concatenate(
+            [sample_gains(6, spec, 13, lo, min(lo + 5, 40)) for lo in range(3, 40, 5)]
+        )
+        assert whole.tobytes() == single.tobytes()
+        assert parts.tobytes() == single.tobytes()
+
     def test_trials_do_not_overlap_draws(self):
         # counter-keyed streams must not depend on enumeration order
         spec = CorrelationSpec()
@@ -153,3 +165,45 @@ class TestBestTwoCarriers:
         cm = ChannelMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ConfigError):
             best_two_carriers(cm, 2)
+
+
+class TestTopTwo:
+    """``top_two`` must rank exactly like a stable descending argsort."""
+
+    @staticmethod
+    def stable(row):
+        order = np.argsort(-row, kind="stable")
+        return int(order[0]), int(order[1])
+
+    def tie_rows(self):
+        rows = [
+            [3.0, 3.0, 1.0, 2.0],  # repeated value at first place
+            [1.0, 3.0, 3.0, 3.0],
+            [5.0, 2.0, 2.0, 1.0],  # repeated value at second place
+            [1.0, 2.0, 5.0, 2.0],
+            [2.0, 2.0, 2.0, 2.0],
+        ]
+        identical = sample_channel(4, CorrelationSpec(theta_user=1.0), 14, 0).gains
+        assert identical[0].tobytes() == identical[1].tobytes()
+        rows += identical.tolist()
+        rng = np.random.default_rng(5)
+        rows += rng.integers(1, 4, size=(200, 4)).astype(float).tolist()
+        return np.array(rows)
+
+    def test_matches_stable_argsort_on_ties(self):
+        rows = self.tie_rows()
+        best, second = top_two(rows)
+        for row, b, s in zip(rows, best, second):
+            assert (int(b), int(s)) == self.stable(row)
+
+    def test_batched_shape_and_best_two_carriers(self):
+        rows = self.tie_rows()
+        stack = rows[: len(rows) // 2 * 2].reshape(-1, 2, rows.shape[1])
+        best, second = top_two(stack)
+        assert best.shape == second.shape == stack.shape[:2]
+        for i, game in enumerate(stack):
+            cm = ChannelMatrix(game)
+            for user in (0, 1):
+                expected = self.stable(game[user])
+                assert best_two_carriers(cm, user) == expected
+                assert (int(best[i, user]), int(second[i, user])) == expected

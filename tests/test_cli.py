@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+# the child interpreter imports the package from this checkout, like the tests
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 INSTANCE = {
     "sigma2": 1.0,
@@ -22,11 +27,13 @@ SIGMOID = {
 
 
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "specgame", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -160,6 +160,13 @@ class TestFileLoading:
         cfg = load_sweep_config(write(tmp_path, {"K_list": [2], "trials": 10}))
         assert cfg.trials == 10
 
+    def test_seed_range_edge(self, tmp_path):
+        # the seed is one uint64 word of the Philox key
+        top = load_sweep_config(write(tmp_path, {"K_list": [2], "seed": 2**64 - 1}))
+        assert top.seed == 2**64 - 1
+        with pytest.raises(ConfigError, match="seed"):
+            load_sweep_config(write(tmp_path, {"K_list": [2], "seed": 2**64}))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_json("/nonexistent/path.json")

@@ -66,6 +66,25 @@ class TestExponentialValue:
                 ExponentialEfficiency(M=bad)
 
 
+class TestValueEach:
+    MODELS = {
+        "exponential_M100": ExponentialEfficiency(M=100),
+        "exponential_M2": ExponentialEfficiency(M=2),
+        "rational_sigmoid": RationalSigmoidEfficiency(),
+        "base_class_loop": ScaledExponentialEfficiency(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_bitwise_equals_scalar_value(self, name):
+        # the batched solvers rely on this to reproduce the scalar path's bytes
+        model = self.MODELS[name]
+        x = np.geomspace(1e-6, 50.0, 20_000)
+        expected = np.array([model.value(float(v)) for v in x])
+        got = model.value_each(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestGammaStar:
     def test_m100_value(self):
         m = ExponentialEfficiency(M=100)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from specgame import (
     ConfigError,
     CorrelationSpec,
     ExponentialEfficiency,
+    RationalSigmoidEfficiency,
     SweepConfig,
     p_gain_condition_iid,
     run_sweep,
@@ -19,6 +21,7 @@ from specgame import (
     write_trial_csv,
 )
 from specgame.sweep import AGGREGATE_HEADER, TRIAL_HEADER, MODES, _resolve_workers
+from support import ScaledExponentialEfficiency
 
 GS_M100 = 6.474600379589404
 
@@ -55,6 +58,12 @@ class TestConfigValidation:
             small_config(sigma2=0.0)
         with pytest.raises(ConfigError):
             small_config(rates=(1.0,))
+
+    def test_seed_fits_the_philox_key(self):
+        top = SweepConfig(K_list=[2], trials=2, seed=2**64 - 1)
+        assert len(run_sweep(top).aggregates) == len(MODES)
+        with pytest.raises(ConfigError, match="seed"):
+            SweepConfig(K_list=[2], trials=2, seed=2**64)
 
     def test_modes(self):
         with pytest.raises(ConfigError):
@@ -217,6 +226,13 @@ class TestDeterminism:
             _resolve_workers(None)
         with pytest.raises(ConfigError):
             _resolve_workers(0)
+        for flag in (True, False):
+            with pytest.raises(ConfigError):
+                _resolve_workers(flag)
+        resolved = _resolve_workers(np.int64(2))
+        assert resolved == 2 and type(resolved) is int
+        with pytest.raises(ConfigError):
+            _resolve_workers(np.int64(0))
 
 
 class TestPerTrialInvariants:
@@ -353,3 +369,130 @@ class TestCsvCanary:
             "not promise them stable across numpy versions) or in libm "
             "(exp/expm1/pow rounding), and re-record the digests."
         )
+
+
+# Configs on which the batched sweep must reproduce run_trial exactly; between
+# them they reach every solver branch (see test_every_branch_is_exercised).
+BATCH_CASES = {
+    "iid_main_grid": dict(K_list=[2, 4, 8], trials=150, seed=0),
+    "exponential_M2": dict(
+        K_list=[2, 4], trials=150, seed=1, efficiency=ExponentialEfficiency(M=2)
+    ),
+    "scaled_exponential": dict(
+        K_list=[2, 4], theta_list=[0.0, 1.0], trials=150, seed=2,
+        efficiency=ScaledExponentialEfficiency(),
+    ),
+    "rational_sigmoid_identical": dict(
+        K_list=[2, 4, 8], theta_list=[1.0], trials=100, seed=3,
+        efficiency=RationalSigmoidEfficiency(),
+    ),
+    "correlated_low_noise_rates": dict(
+        K_list=[3], rho_list=[0.5], theta_list=[0.6], trials=150, seed=4,
+        sigma2=1e-3, rates=(1.0, 2.5),
+    ),
+    "high_noise": dict(K_list=[2, 4], trials=150, seed=5, sigma2=1e3),
+    "wide_K64": dict(K_list=[64], trials=60, seed=6),
+}
+
+
+@pytest.fixture(scope="module")
+def scalar_reference():
+    """(config, run_trial records in grid-then-trial order) per case, cached."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cfg = SweepConfig(**BATCH_CASES[name])
+            cache[name] = (cfg, [
+                run_trial(cfg, K, rho, theta, t)
+                for K in cfg.K_list
+                for rho in cfg.rho_list
+                for theta in cfg.theta_list
+                for t in range(cfg.trials)
+            ])
+        return cache[name]
+
+    return get
+
+
+class TestBatchedMatchesScalar:
+    """The array pass must store exactly what run_trial stores, field by field."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_records_equal_run_trial(self, name, workers, scalar_reference):
+        cfg, expected = scalar_reference(name)
+        got = run_sweep(cfg, per_trial=True, workers=workers).trials
+        assert len(got) == len(expected)
+        for rec, ref in zip(got, expected):
+            assert rec == ref, f"{name}: trial {ref.trial_index} at K={ref.K} differs"
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_aggregates_equal_means_of_run_trial(self, name, scalar_reference):
+        cfg, expected = scalar_reference(name)
+        got = run_sweep(cfg).aggregates
+        i = 0
+        for rec_start in range(0, len(expected), cfg.trials):
+            records = expected[rec_start : rec_start + cfg.trials]
+            for idx, mode in enumerate(cfg.modes):
+                stats = [r.stats[idx] for r in records]
+                agg = got[i]
+                i += 1
+                assert agg.mode == mode and agg.trials == cfg.trials
+                assert agg.p_no_orth == sum(not s.orthogonalized for s in stats) / cfg.trials
+                assert agg.ee_mean == float(np.mean([s.system_ee for s in stats]))
+                assert agg.ee_user1 == float(np.mean([s.utilities[0] for s in stats]))
+                assert agg.ee_user2 == float(np.mean([s.utilities[1] for s in stats]))
+                assert agg.se_mean == float(np.mean([s.se for s in stats]))
+                assert agg.welfare_mean == float(np.mean([s.welfare for s in stats]))
+        assert i == len(got)
+
+    def test_every_branch_is_exercised(self, scalar_reference):
+        seen = dict.fromkeys(
+            (
+                "NashExact", "NashShared finite", "NashShared divergent",
+                "StackelbergExact closed form", "StackelbergExact fallback",
+                "StackelbergEpsilon", "SocialOptimum",
+            ),
+            0,
+        )
+        for name in BATCH_CASES:
+            cfg, records = scalar_reference(name)
+            gs = cfg.efficiency.gamma_star
+            for rec in records:
+                for s in rec.stats:
+                    if s.mode == "nash":
+                        if s.kind == "NashShared":
+                            key = "NashShared divergent" if s.divergent else "NashShared finite"
+                        else:
+                            key = s.kind
+                    elif s.kind == "StackelbergExact":
+                        # the scalar solver runs where the leader's carrier is
+                        # contested and the follower's gap exceeds gamma_star
+                        gap = (rec.best_gains[1] - rec.second_gains[1]) / rec.second_gains[1]
+                        contested = rec.best_carriers[0] == rec.best_carriers[1]
+                        fallback = contested and gap > gs
+                        key = "StackelbergExact " + ("fallback" if fallback else "closed form")
+                    else:
+                        key = s.kind
+                    seen[key] += 1
+        assert all(seen.values()), seen
+
+
+def test_chunked_memory_stays_flat():
+    # Trials are solved in chunks sized from K, so the largest temporaries
+    # do not grow with the trial count; only the cell's per-trial result
+    # arrays (a few hundred bytes a trial) do.  One unchunked pass at
+    # K = 512 would hold about 100 MB of normals for 4,000 trials.
+    def peak(trials):
+        cfg = SweepConfig(K_list=[512], trials=trials, seed=8, modes=("nash",))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # gamma_star and other one-time set-up
+    small, large = peak(400), peak(4000)
+    assert large - small < 2 * 2**20, (small, large)
