@@ -13,8 +13,10 @@ formula downstream:
   to ``gamma_star`` on top of the induced interference.  Depending on the
   curve shape this root may not exist.
 
-Both are found by the same certified procedure: a dense sign-change scan
-followed by bisection, with the stationarity residual checked at the end.
+Both are found by the same procedure: a dense sign-change scan followed
+by bisection.  ``gamma_star`` is bisected to 1e-12 and certified by its
+stationarity residual; the ``beta_star`` roots do not depend on the game, so
+each model solves them once, to adjacent doubles, and caches them.
 """
 
 from __future__ import annotations
@@ -80,6 +82,20 @@ class EfficiencyModel:
     def gamma_star(self) -> float:
         return solve_gamma_star(self)
 
+    @cached_property
+    def beta_star_roots(self) -> tuple[tuple[float, float], ...]:
+        """Every root of the shared-carrier condition in (0, min(g*, 1/g*)),
+        ascending, each paired with its shared-carrier rate
+        ``f(r) (1 - r gamma_star) / r``; solved on first use."""
+        gs = self.gamma_star
+        ceiling = min(gs, 1.0 / gs)
+        roots = _scan_roots(
+            lambda x: self.beta_star_residual(x, gs), ceiling * 1e-12, ceiling, tol=0.0
+        )
+        return tuple(
+            (r, float(self.value(r)) * (1.0 - r * gs) / r) for r in roots if 0.0 < r < ceiling
+        )
+
 
 @dataclass(frozen=True)
 class ExponentialEfficiency(EfficiencyModel):
@@ -119,8 +135,11 @@ class ExponentialEfficiency(EfficiencyModel):
         return self.M * x - np.expm1(x)
 
     def beta_star_residual(self, x, gamma_star):
+        # M x (1 - x g*) - e^x + 1, with x g* split exactly into p + e so
+        # that 1 - x g* keeps its low bits where x g* is close to 1
         x = _as_float_array(x)
-        return self.M * (x - x * x * gamma_star) - np.expm1(x)
+        p, e = _two_product(x, gamma_star)
+        return self.M * x * ((1.0 - p) - e) - np.expm1(x)
 
 
 _SQRT17 = math.sqrt(17.0)
@@ -160,9 +179,25 @@ class RationalSigmoidEfficiency(EfficiencyModel):
         return _match_scalar(x, np.where(x <= _RS_KNEE, lo, hi))
 
 
-def _bisect(fn, lo, hi, f_lo):
-    """Shrink a sign-change bracket to width <= _BISECT_TOL; return midpoint."""
-    while hi - lo > _BISECT_TOL:
+def _two_product(a, b):
+    """``a * b`` as ``p + e`` exactly, ``p`` the rounded product (Dekker 1971)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    """``a`` as ``hi + lo``, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _bisect(fn, lo, hi, f_lo, tol):
+    """Shrink a sign-change bracket to width <= ``tol``, or to adjacent
+    doubles, and return its midpoint."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -176,14 +211,14 @@ def _bisect(fn, lo, hi, f_lo):
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(fn, lo, hi):
+def _scan_roots(fn, lo, hi, tol=_BISECT_TOL):
     """All roots of ``fn`` on [lo, hi] found by grid scan plus bisection."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
     vals = np.asarray(fn(grid), dtype=float)
     roots = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
     sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     for i in sign_change:
-        roots.append(_bisect(fn, float(grid[i]), float(grid[i + 1]), float(vals[i])))
+        roots.append(_bisect(fn, float(grid[i]), float(grid[i + 1]), float(vals[i]), tol))
     return sorted(set(roots))
 
 
@@ -222,24 +257,25 @@ def solve_gamma_star(model: EfficiencyModel, bracket=GAMMA_STAR_BRACKET) -> floa
 def solve_beta_star(model: EfficiencyModel, x_max: float) -> float | None:
     """Preferred SINR on a carrier shared with a rival retuning to gamma_star.
 
-    Finds all roots of ``(x - x^2 gamma_star) f'(x) = f(x)`` on ``(0, x_max]``
-    and returns the one with the highest shared-carrier rate
+    Of the roots of ``(x - x^2 gamma_star) f'(x) = f(x)`` on ``(0, x_max]``,
+    returns the one with the highest shared-carrier rate
     ``f(x) (1 - x gamma_star) / x`` (the smaller root on a tie), or ``None``
     when no root exists.  Any root returned lies strictly inside
-    ``(0, min(gamma_star, 1/gamma_star))``.
+    ``(0, min(gamma_star, 1/gamma_star))``.  The roots come from
+    ``model.beta_star_roots``, solved once per model.
     """
     if not (x_max > 0.0):
         raise ConfigError(f"x_max must be positive, got {x_max!r}")
-    gs = model.gamma_star
-    lo = x_max * 1e-12
-    roots = _scan_roots(lambda x: model.beta_star_residual(x, gs), lo, x_max)
-    ceiling = min(gs, 1.0 / gs)
-    roots = [r for r in roots if 0.0 < r < ceiling]
-    if not roots:
-        return None
-    best, best_rate = None, -np.inf
-    for r in roots:
-        rate = float(model.value(r)) * (1.0 - r * gs) / r
-        if rate > best_rate:
-            best, best_rate = r, rate
+    best = beta_star_each(model, np.array([x_max], dtype=float))[0]
+    return None if math.isnan(best) else float(best)
+
+
+def beta_star_each(model: EfficiencyModel, x_max: np.ndarray) -> np.ndarray:
+    """``solve_beta_star`` at every entry of the array ``x_max``; NaN for ``None``."""
+    best = np.full(x_max.shape, np.nan)
+    best_rate = np.full(x_max.shape, -np.inf)
+    for root, rate in model.beta_star_roots:  # ascending, so ties keep the smaller
+        take = (root <= x_max) & (rate > best_rate)
+        best[take] = root
+        best_rate[take] = rate
     return best

@@ -24,12 +24,10 @@ diagnostics.  ``SOLVERS`` maps each sweep mode to its solver, and
 ``solve`` looks the solver up at call time.
 
 Sweeps solve many games at once with ``solve_rows``, which reproduces the
-scalar solvers bit for bit in closed form on arrays.  Only Stackelberg
-rows whose best carrier is contested and whose follower gap exceeds
-``gamma_star`` (the leader's four-way comparison, with its beta_star scan
-and epsilon fallback) fall back to ``solve``.  A solver patched onto this
-module therefore reaches a sweep only on those rows; ``solve`` and direct
-calls always see it.
+scalar solvers bit for bit on arrays, the leader's four-way comparison and
+the epsilon fallback included.  Sweeps therefore never call a solver
+patched onto this module; ``solve``, and with it ``run_trial`` and the
+oracle checks of :mod:`specgame.verify`, always see it.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, best_two_carriers, top_two
 from .errors import PreconditionError, SolverFailure
-from .efficiency import _BISECT_TOL, EfficiencyModel, solve_beta_star
+from .efficiency import _BISECT_TOL, EfficiencyModel, beta_star_each, solve_beta_star
 from .game import (
     GameInstance,
     PowerAllocation,
@@ -60,7 +58,7 @@ _EPSILON_GRID_CAP = 400
 
 # mode -> solver attribute, resolved at call time so test doubles patched
 # onto this module take effect in ``solve``; batched sweeps (``solve_rows``)
-# call it only for contested Stackelberg rows with follower gap > gamma_star
+# never call it
 SOLVERS = {
     "nash": "nash_solve",
     "stackelberg": "stackelberg_solve",
@@ -485,14 +483,6 @@ class GameRows:
         rows = np.arange(self.gains.shape[0])
         return self.gains[rows, np.array([[0], [1]]), carriers]
 
-    def instance(self, row: int) -> GameInstance:
-        return GameInstance(
-            channel=ChannelMatrix(gains=self.gains[row]),
-            sigma2=self.sigma2,
-            rates=self.rates,
-            efficiency=self.efficiency,
-        )
-
 
 class RowOutcomes(NamedTuple):
     """One mode solved on every row of a ``GameRows``.
@@ -508,29 +498,21 @@ class RowOutcomes(NamedTuple):
     utilities: np.ndarray
     divergent: np.ndarray
 
-    def set_row(self, row: int, outcome: EquilibriumOutcome) -> None:
-        """Overwrite one row with a scalar solver's outcome."""
-        self.kind[row] = KINDS.index(outcome.kind)
-        for n, user in enumerate(outcome.users):
-            self.carriers[n, row] = user.carrier
-            self.powers[n, row] = user.power
-            self.sinrs[n, row] = user.sinr
-            self.utilities[n, row] = user.utility
-        self.divergent[row] = outcome.divergent
 
-
-def _row_outcomes(rows, kind, carriers, received=None):
+def _row_outcomes(rows, kind, carriers, received=None, powers=None):
     """Batched ``_outcome``: user n alone on ``carriers[n]`` in every row.
 
     ``kind`` is an index into ``KINDS``, one for all rows or one per row.
-    Each power is ``received / g`` on the user's carrier; ``received``
-    defaults to ``gamma_star * sigma2``, the interference-free peak.
+    Unless ``powers`` gives them, shape (2, n), each power is ``received /
+    g`` on the user's carrier; ``received`` defaults to ``gamma_star *
+    sigma2``, the interference-free peak.
     """
     carriers = np.stack(carriers)
     g = rows.gains_at(carriers)
-    if received is None:
-        received = rows.efficiency.gamma_star * rows.sigma2
-    powers = received / g
+    if powers is None:
+        if received is None:
+            received = rows.efficiency.gamma_star * rows.sigma2
+        powers = received / g
     rx = g * powers
     interference = np.where(carriers[0] == carriers[1], rx[::-1], 0.0)
     sinrs = rx / (rows.sigma2 + interference)
@@ -584,12 +566,96 @@ def _stackelberg_rows(rows):
     contested = b1 == b2
     g_best, g_second = rows.best_gains[1], rows.second_gains[1]
     gamma_hat = (g_best - g_second) / g_second
-    out = _row_outcomes(
-        rows, KINDS.index(STACKELBERG_EXACT), (b1, np.where(contested, s2, b2))
+    kind = np.full(b1.shape, KINDS.index(STACKELBERG_EXACT), dtype=np.int8)
+    carriers = np.stack((b1, np.where(contested, s2, b2)))
+    powers = gs * rows.sigma2 / rows.gains_at(carriers)
+    leader = np.flatnonzero(contested & (gamma_hat > gs))
+    if leader.size:
+        _leader_choice(rows, leader, gamma_hat[leader], kind, carriers, powers)
+    return _row_outcomes(rows, kind, carriers, powers=powers)
+
+
+def _leader_choice(rows, idx, gamma_hat, kind, carriers, powers):
+    """Batched leader comparison of ``stackelberg_solve`` on rows ``idx``.
+
+    The rows are contested with a follower gap ``gamma_hat`` above
+    gamma_star.  Writes each row's kind, carriers and powers in place, with
+    the operations of ``_leader_candidates``, ``stackelberg_solve`` and
+    ``_epsilon_outcome`` in the same order.
+    """
+    f = rows.efficiency
+    gs = f.gamma_star
+    s2n = rows.sigma2
+    R1 = rows.rates[0]
+    g_b1 = rows.best_gains[0, idx]
+    g_s1 = rows.second_gains[0, idx]
+    g_b2 = rows.best_gains[1, idx]
+
+    deter = R1 * f.value_each(gamma_hat) * g_b1 / (gamma_hat * s2n)
+    retreat = R1 * float(f.value(gs)) * g_s1 / (gs * s2n)
+    vanish = float(f.derivative(0.0)) * g_b1 * R1 / (s2n * (1.0 + gs))
+    share_sinr = beta_star_each(f, gamma_hat / (1.0 + gs * (1.0 + gamma_hat)))
+    has_share = ~np.isnan(share_sinr)
+    bs = share_sinr[has_share]
+    share = np.full(idx.shape, np.nan)
+    share[has_share] = (
+        R1 * f.value_each(bs) * (1.0 - gs * bs) * g_b1[has_share]
+        / (bs * s2n * (1.0 + gs))
     )
-    for row in np.flatnonzero(contested & (gamma_hat > gs)).tolist():
-        out.set_row(row, solve("stackelberg", rows.instance(row)))
-    return out
+
+    # Python's max over (deter, retreat[, share]): a later value replaces
+    # the running maximum only when strictly greater
+    best = np.where(retreat > deter, retreat, deter)
+    best = np.where(has_share & (share > best), share, best)
+    epsilon = vanish > best
+    deter_wins = ~epsilon & (deter == best)
+    retreat_wins = ~epsilon & ~deter_wins & (retreat == best)
+    share_wins = ~epsilon & ~deter_wins & ~retreat_wins
+
+    d = idx[deter_wins]
+    powers[0, d] = gamma_hat[deter_wins] * s2n / g_b1[deter_wins]
+    r = idx[retreat_wins]
+    carriers[:, r] = rows.second[0, r], rows.best[1, r]
+    powers[:, r] = gs * s2n / g_s1[retreat_wins], gs * s2n / g_b2[retreat_wins]
+    sh = idx[share_wins]
+    carriers[1, sh] = rows.best[1, sh]
+    bs = share_sinr[share_wins]
+    one_minus = 1.0 - gs * bs
+    powers[0, sh] = bs * (1.0 + gs) * s2n / (g_b1[share_wins] * one_minus)
+    powers[1, sh] = gs * (1.0 + bs) * s2n / (g_b2[share_wins] * one_minus)
+    e = idx[epsilon]
+    kind[e] = KINDS.index(STACKELBERG_EPSILON)
+    carriers[1, e] = rows.best[1, e]
+    powers[:, e] = _epsilon_powers(rows, g_b1[epsilon], g_b2[epsilon], vanish[epsilon])
+
+
+def _epsilon_powers(rows, g_b1, g_b2, vanish):
+    """Batched ``_epsilon_outcome`` at epsilon = 1e-6 * vanish: the leader's
+    halved power on each row, and the follower's reply to it."""
+    f = rows.efficiency
+    gs = f.gamma_star
+    s2n = rows.sigma2
+    R1 = rows.rates[0]
+    epsilon = 1e-6 * vanish
+    target = vanish - epsilon
+    alpha = gs * s2n / g_b1
+    short = np.arange(alpha.size)
+    for _ in range(_EPSILON_GRID_CAP):
+        a = alpha[short]
+        follower = gs * (s2n + g_b1[short] * a) / g_b2[short]
+        sinr = g_b1[short] * a / (s2n + g_b2[short] * follower)
+        utility = np.zeros_like(a)
+        np.divide(R1 * f.value_each(sinr), a, out=utility, where=a != 0.0)
+        short = short[~(utility >= target[short])]
+        if not short.size:
+            break
+        alpha[short] *= 0.5
+    else:
+        raise SolverFailure(
+            "leader utility did not reach the vanishing-power target on the "
+            f"geometric grid (epsilon={float(epsilon[short[0]])!r})"
+        )
+    return alpha, gs * (s2n + g_b1 * alpha) / g_b2
 
 
 def _social_rows(rows):
@@ -612,9 +678,7 @@ _ROW_SOLVERS = {
 def solve_rows(mode: str, rows: GameRows) -> RowOutcomes:
     """Solve every row of ``rows`` in ``mode``, as ``solve`` would row by row.
 
-    Rows go through closed forms on arrays.  Only Stackelberg rows whose
-    best carrier is contested and whose follower gap exceeds gamma_star
-    (where the leader weighs sharing, deterring, retreating and vanishing)
-    are handed to the solver ``SOLVERS`` names, looked up at call time.
+    Every row is solved on arrays, without calling a scalar solver; the
+    share roots come from the model's cached ``beta_star_roots``.
     """
     return _ROW_SOLVERS[mode](rows)

@@ -11,12 +11,10 @@ are paired comparisons rather than independent resamples.
 ``run_sweep`` solves each cell on arrays, a chunk of trials at a time, and
 stores exactly what ``run_trial`` stores for every trial: the draws, the
 carrier ranking, the closed forms and f are evaluated with the scalar
-path's rounding (``EfficiencyModel.value_each``).  The scalar Stackelberg
-solver, looked up on :mod:`specgame.equilibria` at call time, runs only
-for trials whose leader carrier is contested with a follower gap above
-``gamma_star``; a solver patched onto that module reaches the sweep only
-there.  ``run_trial`` solves one trial the scalar way and is the reference
-the batched path is tested against.
+path's rounding (``EfficiencyModel.value_each``).  A sweep calls no scalar
+solver, so a solver patched onto :mod:`specgame.equilibria` never reaches
+it.  ``run_trial`` solves one trial the scalar way, looking the solvers up
+at call time, and is the reference the batched path is tested against.
 
 The per-trial spectral efficiency is the per-user average
 ``(1/2) * sum_n log2(1 + SINR_n)``; under full orthogonalization at

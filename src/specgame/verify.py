@@ -5,8 +5,8 @@ direct numerical maximization for the solvers, derived reference values for
 the Monte Carlo frequencies, moment statistics for the channel sampler.
 The oracle checks look solvers up on :mod:`specgame.equilibria` at call
 time, so a deliberately corrupted solver (patched onto the module) is
-caught.  The Monte Carlo checks run sweeps, which call the scalar solvers
-only for contested Stackelberg trials (see :mod:`specgame.sweep`).
+caught.  The Monte Carlo checks run sweeps, which solve on arrays and never
+call a patched solver (see :mod:`specgame.sweep`).
 
 The grid oracles (``brute_force_best_response`` and the leader and social
 searches below) are deliberately independent of every closed form in

@@ -2,9 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
+
+import specgame.efficiency
 
 from specgame import (
     ConfigError,
@@ -232,3 +235,75 @@ class TestBetaStar:
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ConfigError):
                 solve_beta_star(m, bad)
+
+
+def mpmath_beta_star(model, guess):
+    """Root of (x - x^2 g*) f'(x) = f(x) near ``guess``, at 50 digits, for the
+    double ``g* = model.gamma_star``."""
+    gs = mpmath.mpf(model.gamma_star)
+
+    def residual(x):
+        if isinstance(model, ExponentialEfficiency):  # the reduced form
+            return model.M * (x - x * x * gs) - mpmath.expm1(x)
+        e = mpmath.exp(-2 * x)  # ScaledExponentialEfficiency: f = (1 - e^-2x)^2
+        return (x - x * x * gs) * 4 * e * (1 - e) - (1 - e) ** 2
+
+    with mpmath.workdps(50):
+        return mpmath.findroot(residual, mpmath.mpf(guess))
+
+
+class TestBetaStarCache:
+    MODELS = {
+        "M2": ExponentialEfficiency(M=2),
+        "M5": ExponentialEfficiency(M=5),
+        "M20": ExponentialEfficiency(M=20),
+        "M100": ExponentialEfficiency(M=100),
+        "M1e6": ExponentialEfficiency(M=10**6),
+        "scaled": ScaledExponentialEfficiency(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_root_within_one_ulp_of_reference(self, name):
+        model = self.MODELS[name]
+        ((root, rate),) = model.beta_star_roots
+        gs = model.gamma_star
+        assert 0.0 < root < min(gs, 1.0 / gs)
+        assert abs(mpmath.mpf(root) - mpmath_beta_star(model, root)) <= math.ulp(root)
+        assert rate == float(model.value(root)) * (1.0 - root * gs) / root
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_x_max_knife_edge(self, name):
+        model = self.MODELS[name]
+        ((root, _),) = model.beta_star_roots
+        assert solve_beta_star(model, root) == root
+        assert solve_beta_star(model, 1.0) == root
+        assert solve_beta_star(model, math.nextafter(root, 0.0)) is None
+
+    def test_rational_sigmoid_has_no_root(self):
+        m = RationalSigmoidEfficiency()
+        assert m.beta_star_roots == ()
+        for x_max in np.geomspace(1e-12, 1e3, 61):
+            assert solve_beta_star(m, float(x_max)) is None
+
+    def test_scan_runs_once_per_model(self, monkeypatch):
+        calls = []
+        scan = specgame.efficiency._scan_roots
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(specgame.efficiency, "_scan_roots", counting)
+        for _ in range(2):
+            m = ExponentialEfficiency(M=7)
+            m.gamma_star
+            before = len(calls)
+            roots = [solve_beta_star(m, x) for x in np.linspace(0.01, 0.5, 25)]
+            assert len(calls) == before + 1
+            assert m.beta_star_roots is m.beta_star_roots
+        assert roots[0] is None and roots[-1] is not None
+
+    def test_not_solved_before_first_use(self):
+        m = ExponentialEfficiency(M=100)
+        m.gamma_star
+        assert "beta_star_roots" not in vars(m)

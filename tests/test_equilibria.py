@@ -1,17 +1,23 @@
 """Closed-form equilibria: every branch of the sequential and simultaneous solvers."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specgame import (
+    ChannelMatrix,
     CorrelationSpec,
     ExponentialEfficiency,
     GameInstance,
     PowerAllocation,
     PreconditionError,
     RationalSigmoidEfficiency,
+    SolverFailure,
+    best_two_carriers,
     brute_force_best_response,
     epsilon_equilibrium,
     follower_best_response,
@@ -25,11 +31,15 @@ from specgame import (
     utility,
 )
 from specgame.equilibria import (
+    KINDS,
     NASH_EXACT,
     NASH_SHARED,
     SOCIAL_OPTIMUM,
     STACKELBERG_EPSILON,
     STACKELBERG_EXACT,
+    GameRows,
+    solve,
+    solve_rows,
 )
 from specgame.game import sinr
 from support import ScaledExponentialEfficiency, make_instance, random_instance
@@ -426,3 +436,154 @@ class TestCrossSolverProperties:
             inst = random_instance(rng, 3)
             for solve in (stackelberg_solve, nash_solve, social_optimum):
                 assert_consistent(solve(inst))
+
+
+# Batched leader choice: ``solve_rows("stackelberg", ...)`` against the scalar
+# solver, row by row, on generated games and on hand-made ones that reach
+# every winner of the leader's comparison.
+
+RATIONAL = RationalSigmoidEfficiency()
+SCALED = ScaledExponentialEfficiency()
+
+
+@functools.cache
+def _exponential(M):
+    return ExponentialEfficiency(M=M)  # one gamma_star solve per block length
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_rows_match_scalar(efficiency, sigma2, rates, gains):
+    """``solve_rows`` equals ``solve`` on every row; returns the scalar outcomes.
+
+    When a scalar solve raises, the batched solve must raise the same type.
+    """
+    gains = np.array(gains, dtype=float)
+    expected = []
+    for g in gains:
+        inst = GameInstance(
+            channel=ChannelMatrix(g), sigma2=sigma2, rates=rates, efficiency=efficiency
+        )
+        try:
+            expected.append(solve("stackelberg", inst))
+        except Exception as exc:  # any type: the batched solve must raise the same
+            with pytest.raises(type(exc)):
+                solve_rows("stackelberg", GameRows(gains, sigma2, rates, efficiency))
+            return None
+    got = solve_rows("stackelberg", GameRows(gains, sigma2, rates, efficiency))
+    for i, o in enumerate(expected):
+        assert KINDS[got.kind[i]] == o.kind, i
+        assert got.carriers[:, i].tolist() == [u.carrier for u in o.users], i
+        assert bool(got.divergent[i]) == o.divergent, i
+        for field, arr in (("power", got.powers), ("sinr", got.sinrs),
+                           ("utility", got.utilities)):
+            for n, u in enumerate(o.users):
+                assert _same(float(arr[n, i]), getattr(u, field)), (i, n, field)
+    return expected
+
+
+def leader_winner(o):
+    """The option a contested leader took in a scalar Stackelberg outcome."""
+    if o.kind == STACKELBERG_EPSILON:
+        return "epsilon"
+    if not o.orthogonalized:
+        return "share"
+    best = best_two_carriers(o.instance.channel, 0)[0]
+    return "deter" if o.users[0].carrier == best else "retreat"
+
+
+def _deter_retreat_tie_gain():
+    """The leader's second-carrier gain g that makes deter and retreat exactly
+    equal on [[1, g], [100, 1]] with M = 100 (no share root: x_max < beta_star)."""
+    gs = M100.gamma_star
+    deter = 1.0 * float(M100.value(99.0)) * 1.0 / (99.0 * 1.0)
+    g = deter * gs / float(M100.value(gs))
+    for _ in range(200):
+        retreat = 1.0 * float(M100.value(gs)) * g / (gs * 1.0)
+        if retreat == deter:
+            return g
+        g = math.nextafter(g, math.inf if retreat < deter else 0.0)
+    raise AssertionError("no exact tie within 200 ulps")
+
+
+# name -> (efficiency, sigma2, rates, one game's (2, K) gains, leader's winner)
+LEADER_CASES = {
+    "share": (_exponential(2), 1.0, (1.0, 1.0), [[100.0, 1.0], [100.0, 1.0]], "share"),
+    "share_scaled": (SCALED, 1.0, (1.0, 1.0), [[10.0, 1.0], [10.0, 1.0]], "share"),
+    "deter": (M100, 1.0, (1.0, 1.0), [[8.0, 1.0], [8.0, 1.0]], "deter"),
+    "retreat": (M100, 1.0, (1.0, 1.0), [[1.0, 0.99], [100.0, 1.0]], "retreat"),
+    "epsilon": (RATIONAL, 1.0, (1.0, 1.0), [[100.0, 1.0], [100.0, 1.0]], "epsilon"),
+    "deter_retreat_tie": (
+        M100, 1.0, (1.0, 1.0), [[1.0, _deter_retreat_tie_gain()], [100.0, 1.0]], "deter"
+    ),
+    # the leader's starting power gamma_star * sigma2 / g overflows, so the
+    # halving grid never reaches the vanishing-power target
+    "epsilon_grid_exhausted": (
+        RATIONAL, 1e300, (1.0, 1.0), [[1e-10, 1e-12], [100.0, 1.0]], SolverFailure
+    ),
+}
+
+
+@st.composite
+def stackelberg_batches(draw):
+    """Games sharing one curve, noise power and rates, with gains and noise
+    across 1e+-100, repeated gains and identical user rows."""
+    efficiency = draw(st.one_of(
+        st.integers(2, 10**6).map(_exponential), st.sampled_from([RATIONAL, SCALED])
+    ))
+    K = draw(st.integers(2, 64))
+    sigma2 = 10.0 ** draw(st.floats(-100.0, 100.0))
+    rates = (draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    level = draw(st.floats(-100.0, 100.0))
+    width = draw(st.sampled_from([0.0, 0.3, 3.0, 100.0]))
+    # few distinct offsets, so carriers often tie exactly
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=K))
+    exponent = st.sampled_from(offsets).map(
+        lambda u: min(100.0, max(-100.0, level + width * u))
+    )
+
+    def user():
+        # a strong carrier 0 makes contested games with wide follower gaps
+        boost = draw(st.sampled_from([1.0, 30.0, 1e4]))
+        es = draw(st.lists(exponent, min_size=K, max_size=K))
+        return [10.0**e * (boost if k == 0 else 1.0) for k, e in enumerate(es)]
+
+    games = []
+    for _ in range(draw(st.integers(1, 4))):
+        first = user()
+        games.append([first, first if draw(st.booleans()) else user()])
+    return efficiency, sigma2, rates, games
+
+
+class TestStackelbergRowsMatchScalar:
+    @pytest.mark.parametrize("name", sorted(LEADER_CASES))
+    def test_leader_cases(self, name):
+        efficiency, sigma2, rates, gains, winner = LEADER_CASES[name]
+        other = [[1.0, 2.0], [2.0, 1.0]]  # distinct best carriers
+        batch = [gains, other, gains]
+        outcomes = assert_rows_match_scalar(efficiency, sigma2, rates, batch)
+        if winner is SolverFailure:
+            assert outcomes is None
+            with pytest.raises(SolverFailure):
+                solve("stackelberg", make_instance(gains, sigma2, rates, efficiency))
+            return
+        assert leader_winner(outcomes[0]) == winner
+        assert outcomes[2].users == outcomes[0].users
+
+    def test_tie_is_exact_and_noted(self):
+        efficiency, sigma2, rates, gains, _ = LEADER_CASES["deter_retreat_tie"]
+        out = solve("stackelberg", make_instance(gains, sigma2, rates, efficiency))
+        assert out.candidates.deter_value == out.candidates.retreat_value
+        assert out.candidates.share_value is None
+        assert any(n.startswith("tie between candidate values: deter, retreat")
+                   for n in out.notes)
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(stackelberg_batches())
+    def test_generated_games(self, batch):
+        assert_rows_match_scalar(*batch)

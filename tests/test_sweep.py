@@ -20,6 +20,7 @@ from specgame import (
     write_aggregate_csv,
     write_trial_csv,
 )
+from specgame import equilibria, sweep
 from specgame.sweep import AGGREGATE_HEADER, TRIAL_HEADER, MODES, _resolve_workers
 from support import ScaledExponentialEfficiency
 
@@ -330,7 +331,7 @@ class TestCsvFiles:
 
 
 class TestCsvCanary:
-    """Pinned SHA-256 digests of small exponential-model sweeps.
+    """Pinned SHA-256 digests of small sweeps.
 
     Recorded with numpy 2.4.6 on CPython 3.11.  A solver or formatting
     change that moves a byte here has to show why the new byte is at least
@@ -349,6 +350,13 @@ class TestCsvCanary:
                  seed=11, efficiency=ExponentialEfficiency(M=2)),
             "c6f6ee66b46c2daa03fe70fa97791a0cd8a15b607b768290ded5bc7ee5ac1a4a",
             "6fda25c0eb50b95ed77f166de5097e10b9af6c92c16e2c452b745fc4c0f9331a",
+        ),
+        # every trial contested: pins the epsilon and no-share-root outcomes
+        "identical_rational_sigmoid": (
+            dict(K_list=[2, 4], theta_list=[1.0], trials=150, seed=11,
+                 efficiency=RationalSigmoidEfficiency()),
+            "a67ef759f95d3f2c7a5f5a38f2417c7d9e88aabdeb2bc4eef921a16ecca9f30a",
+            "2c6aa406d6eca776bac64222e603750669bb43e33fa548ff8eca1d9c9d2c5fc0",
         ),
     }
 
@@ -451,7 +459,8 @@ class TestBatchedMatchesScalar:
         seen = dict.fromkeys(
             (
                 "NashExact", "NashShared finite", "NashShared divergent",
-                "StackelbergExact closed form", "StackelbergExact fallback",
+                "StackelbergExact uncontested or small gap", "StackelbergExact deter",
+                "StackelbergExact retreat", "StackelbergExact share",
                 "StackelbergEpsilon", "SocialOptimum",
             ),
             0,
@@ -467,16 +476,45 @@ class TestBatchedMatchesScalar:
                         else:
                             key = s.kind
                     elif s.kind == "StackelbergExact":
-                        # the scalar solver runs where the leader's carrier is
-                        # contested and the follower's gap exceeds gamma_star
+                        # the leader weighs deter, retreat and share where his
+                        # carrier is contested and the follower's gap exceeds
+                        # gamma_star
                         gap = (rec.best_gains[1] - rec.second_gains[1]) / rec.second_gains[1]
                         contested = rec.best_carriers[0] == rec.best_carriers[1]
-                        fallback = contested and gap > gs
-                        key = "StackelbergExact " + ("fallback" if fallback else "closed form")
+                        if not (contested and gap > gs):
+                            key = "StackelbergExact uncontested or small gap"
+                        elif s.carriers[0] == s.carriers[1]:
+                            key = "StackelbergExact share"
+                        elif s.carriers[0] == rec.second_carriers[0]:
+                            key = "StackelbergExact retreat"
+                        else:
+                            key = "StackelbergExact deter"
                     else:
                         key = s.kind
                     seen[key] += 1
         assert all(seen.values()), seen
+
+
+def test_sweeps_call_no_scalar_solver(monkeypatch):
+    # contested leader rows included: the share, deter, retreat and epsilon
+    # choices are all made on arrays from the model's cached beta* roots
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called a scalar solver")
+
+    for name in ("nash_solve", "stackelberg_solve", "social_optimum",
+                 "solve_beta_star", "best_two_carriers"):
+        monkeypatch.setattr(equilibria, name, refuse)
+    for name in ("sample_channel", "best_two_carriers", "run_trial"):
+        monkeypatch.setattr(sweep, name, refuse)
+    kinds = set()
+    for efficiency in (RationalSigmoidEfficiency(), ExponentialEfficiency(M=2),
+                       ScaledExponentialEfficiency()):
+        cfg = SweepConfig(K_list=[2, 4], theta_list=[1.0], trials=60, seed=1,
+                          efficiency=efficiency)
+        for rec in run_sweep(cfg, per_trial=True).trials:
+            kinds.update((s.kind, s.orthogonalized) for s in rec.stats)
+    assert ("StackelbergEpsilon", False) in kinds
+    assert ("StackelbergExact", False) in kinds  # the leader shares
 
 
 def test_chunked_memory_stays_flat():
