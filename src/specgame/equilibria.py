@@ -284,12 +284,33 @@ def stackelberg_solve(inst: GameInstance) -> EquilibriumOutcome:
     return _outcome(inst, STACKELBERG_EXACT, (b1, b2), powers, **extra)
 
 
+def _epsilon_start(gs, s2n, g):
+    """The leader's first epsilon-grid power on each gain of the array ``g``:
+    the largest finite ``2**-j * gs * s2n / g`` with j >= 0.
+
+    That is ``gs * s2n / g`` itself (j = 0) wherever it is finite.  Where it
+    overflows, the same product is formed from frexp mantissas and placed at
+    the largest exponent that stays finite, so halving from it can reach
+    the vanishing-power target.
+    """
+    with np.errstate(over="ignore"):  # overflowing rows are handled below
+        alpha = gs * s2n / g
+    over = np.isinf(alpha)
+    if over.any():
+        m_gs, e_gs = np.frexp(gs)
+        m_s2n, e_s2n = np.frexp(s2n)
+        m_g, e_g = np.frexp(g[over])
+        mantissa, e = np.frexp(m_gs * m_s2n / m_g)  # mantissa in [0.5, 1)
+        alpha[over] = np.ldexp(mantissa, np.minimum(e + e_gs + e_s2n - e_g, 1024))
+    return alpha
+
+
 def _epsilon_outcome(inst, b1, b2, cand, epsilon, notes=()):
     g = inst.channel.gains
     s2n = inst.sigma2
     gs = inst.efficiency.gamma_star
     target = cand.vanish_value - epsilon
-    alpha = gs * s2n / g[0, b1]
+    alpha = _epsilon_start(gs, s2n, g[0, b1 : b1 + 1])[0]
     for _ in range(_EPSILON_GRID_CAP):
         follower_power = gs * (s2n + g[0, b1] * alpha) / g[1, b2]
         users = _users(inst, (b1, b2), (alpha, follower_power))
@@ -311,10 +332,10 @@ def epsilon_equilibrium(inst: GameInstance, epsilon: float) -> EquilibriumOutcom
     """Near-equilibrium for games whose leader supremum is unattainable.
 
     The leader puts a small power ``alpha`` on the contested carrier, the
-    largest value of the form ``2**-j * gamma_star * sigma2 / g`` keeping
-    his utility within ``epsilon`` of the vanishing-power supremum; the
-    follower replies on the same carrier at ``gamma_star`` over the induced
-    interference.  Raises :class:`PreconditionError` unless the contested
+    largest finite value of the form ``2**-j * gamma_star * sigma2 / g``
+    (j >= 0) keeping his utility within ``epsilon`` of the vanishing-power
+    supremum; the follower replies on the same carrier at ``gamma_star``
+    over the induced interference.  Raises :class:`PreconditionError` unless the contested
     carrier exists, the follower's gap exceeds ``gamma_star``, and the
     supremum strictly beats the three exact candidate values.
     """
@@ -638,7 +659,7 @@ def _epsilon_powers(rows, g_b1, g_b2, vanish):
     R1 = rows.rates[0]
     epsilon = 1e-6 * vanish
     target = vanish - epsilon
-    alpha = gs * s2n / g_b1
+    alpha = _epsilon_start(gs, s2n, g_b1)
     short = np.arange(alpha.size)
     for _ in range(_EPSILON_GRID_CAP):
         a = alpha[short]

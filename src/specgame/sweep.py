@@ -16,6 +16,10 @@ solver, so a solver patched onto :mod:`specgame.equilibria` never reaches
 it.  ``run_trial`` solves one trial the scalar way, looking the solvers up
 at call time, and is the reference the batched path is tested against.
 
+Per-trial results stay in those arrays.  ``SweepResult.trials`` is a
+``TrialTable``, which builds a ``TrialRecord`` only when one is read, and
+``write_trial_csv`` formats the trial CSV straight from the arrays.
+
 The per-trial spectral efficiency is the per-user average
 ``(1/2) * sum_n log2(1 + SINR_n)``; under full orthogonalization at
 ``gamma_star`` it equals ``log2(1 + gamma_star)``, the scale of the
@@ -24,8 +28,11 @@ analytic floors in :mod:`specgame.analysis`.
 
 from __future__ import annotations
 
-import csv
+import bisect
+import itertools
+import operator
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,6 +52,12 @@ SEED_MAX = 2**64 - 1  # the seed is one uint64 word of the Philox key
 # social mode its (trials, K, K) score, stay within this many bytes
 _CHUNK_BYTES = 256 * 1024
 
+# trials a TrialTable builds records for, or write_trial_csv formats, at once
+_PIECE_TRIALS = 2048
+# every float in CSV and command-line output: 9 significant digits
+_FLOAT_SPEC = ".9g"
+_F = "%" + _FLOAT_SPEC
+
 AGGREGATE_HEADER = (
     "K,rho,theta,mode,trials,p_no_orth,p_no_orth_se,"
     "ee_mean,ee_user1,ee_user2,se_mean,welfare_mean"
@@ -53,6 +66,10 @@ TRIAL_HEADER = (
     "trial,K,rho,theta,mode,kind,orthogonalized,carrier1,carrier2,"
     "power1,power2,sinr1,sinr2,utility1,utility2,welfare,se,system_ee"
 )
+_AGGREGATE_ROW = ",".join(["%d", _F, _F, "%s", "%d"] + [_F] * 7) + "\n"
+# the trial row after its cell's K, rho, theta and mode: kind, orthogonalized,
+# the two 1-based carriers, then powers, SINRs, utilities, welfare, SE and EE
+_TRIAL_ROW_TAIL = ",".join(["%s", "%s", "%d", "%d"] + [_F] * 9) + "\n"
 
 
 @dataclass(frozen=True)
@@ -151,7 +168,8 @@ class AggregateStats:
 class SweepResult:
     config: SweepConfig
     aggregates: tuple[AggregateStats, ...]
-    trials: tuple[TrialRecord, ...] | None = None
+    # per-trial results of ``per_trial=True``: TrialRecords built on access
+    trials: TrialTable | None = None
 
 
 def _mode_stats(mode: str, outcome) -> ModeStats:
@@ -210,6 +228,9 @@ def run_trial(
         second_gains=(float(g[0, s1]), float(g[1, s2])),
         stats=stats,
     )
+
+
+_KIND_NAMES = np.array(equilibria.KINDS, dtype=object)
 
 
 class _ModeColumns(NamedTuple):
@@ -290,10 +311,11 @@ def _run_span(args) -> _SpanColumns:
     ])
 
 
-def _records(config, K, rho, theta, cols: _SpanColumns) -> list[TrialRecord]:
-    """The TrialRecords ``run_trial`` returns for the cell's trials, in order."""
+def _records(modes, K, rho, theta, cols: _SpanColumns, lo, hi) -> list[TrialRecord]:
+    """The TrialRecords ``run_trial`` returns for trials ``lo`` to ``hi - 1``
+    of the cell, in order."""
     per_mode = []
-    for mode, m in zip(config.modes, cols.modes):
+    for mode, m in zip(modes, cols.modes):
         o = m.outcomes
         per_mode.append([
             ModeStats(
@@ -302,10 +324,11 @@ def _records(config, K, rho, theta, cols: _SpanColumns) -> list[TrialRecord]:
                 welfare=u0 + u1, se=se, system_ee=ee, divergent=divergent,
             )
             for kind, c0, c1, p0, p1, s0, s1, u0, u1, se, ee, divergent in zip(
-                [equilibria.KINDS[k] for k in o.kind.tolist()],
-                *o.carriers.tolist(), *o.powers.tolist(), *o.sinrs.tolist(),
-                *o.utilities.tolist(), m.se.tolist(), m.system_ee.tolist(),
-                o.divergent.tolist(),
+                _KIND_NAMES[o.kind[lo:hi]].tolist(),
+                *o.carriers[:, lo:hi].tolist(), *o.powers[:, lo:hi].tolist(),
+                *o.sinrs[:, lo:hi].tolist(), *o.utilities[:, lo:hi].tolist(),
+                m.se[lo:hi].tolist(), m.system_ee[lo:hi].tolist(),
+                o.divergent[lo:hi].tolist(),
             )
         ])
     return [
@@ -315,11 +338,47 @@ def _records(config, K, rho, theta, cols: _SpanColumns) -> list[TrialRecord]:
             best_gains=tuple(bg), second_gains=tuple(sg), stats=stats,
         )
         for t, (b, s, bg, sg, stats) in enumerate(zip(
-            cols.best.T.tolist(), cols.second.T.tolist(),
-            cols.best_gains.T.tolist(), cols.second_gains.T.tolist(),
+            cols.best[:, lo:hi].T.tolist(), cols.second[:, lo:hi].T.tolist(),
+            cols.best_gains[:, lo:hi].T.tolist(), cols.second_gains[:, lo:hi].T.tolist(),
             zip(*per_mode),
-        ))
+        ), lo)
     ]
+
+
+class TrialTable(Sequence):
+    """Per-trial results of a sweep: a read-only sequence of TrialRecords in
+    grid-then-trial order.
+
+    The table keeps each cell's result arrays, and builds a record, equal to
+    what ``run_trial`` returns for that trial, only when it is read:
+    ``len``, integer indexing (negative too) and iteration, which builds a
+    bounded piece of a cell at a time.  ``write_trial_csv`` formats straight
+    from the arrays and builds no record.
+    """
+
+    def __init__(self, modes, cells):
+        self._modes = tuple(modes)
+        self._cells = tuple(cells)  # (K, rho, theta, _SpanColumns) per grid cell
+        self._ends = list(itertools.accumulate(c[3].best.shape[1] for c in self._cells))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"trial index {index} out of range for {len(self)} trials")
+        c = bisect.bisect_right(self._ends, i)
+        t = i - (self._ends[c - 1] if c else 0)
+        return _records(self._modes, *self._cells[c], t, t + 1)[0]
+
+    def __iter__(self):
+        for cell in self._cells:
+            n = cell[3].best.shape[1]
+            for lo in range(0, n, _PIECE_TRIALS):
+                yield from _records(self._modes, *cell, lo, min(lo + _PIECE_TRIALS, n))
 
 
 def _aggregate_cell(config, K, rho, theta, cols: _SpanColumns):
@@ -371,12 +430,14 @@ def run_sweep(
 
     ``workers`` falls back to the ``SPECGAME_WORKERS`` environment variable,
     then to 1 (inline, no subprocesses).  Results are byte-identical for
-    every worker count; ``per_trial=True`` additionally keeps every
-    TrialRecord in grid-then-trial order.
+    every worker count; ``per_trial=True`` additionally keeps every trial,
+    in grid-then-trial order, as a ``TrialTable``.
 
     Each cell is solved on arrays, a chunk of trials at a time, with the
-    same numbers ``run_trial`` gives trial by trial.  Pool workers return
-    arrays; TrialRecords are built here, and only for ``per_trial=True``.
+    same numbers ``run_trial`` gives trial by trial.  With workers, every
+    cell's spans go to the pool in one ``map``, so cells do not wait for
+    each other, and come back as arrays.  No TrialRecord is built here: the
+    table keeps each cell's arrays and builds a record when it is read.
     """
     workers = _resolve_workers(workers)
     cells = [
@@ -386,70 +447,88 @@ def run_sweep(
         for theta in config.theta_list
     ]
     aggregates: list[AggregateStats] = []
-    kept: list[TrialRecord] | None = [] if per_trial else None
+    kept = []
 
-    def _consume(K, rho, theta, cols):
-        aggregates.extend(_aggregate_cell(config, K, rho, theta, cols))
-        if kept is not None:
-            kept.extend(_records(config, K, rho, theta, cols))
+    def _consume(solved):
+        for (K, rho, theta), cols in zip(cells, solved):
+            aggregates.extend(_aggregate_cell(config, K, rho, theta, cols))
+            if per_trial:
+                kept.append((K, rho, theta, cols))
 
     if workers == 1:
-        for K, rho, theta in cells:
-            _consume(K, rho, theta, _run_span((config, K, rho, theta, 0, config.trials)))
+        _consume(
+            _run_span((config, K, rho, theta, 0, config.trials)) for K, rho, theta in cells
+        )
     else:
         span = -(-config.trials // (workers * 4))  # ceil; ~4 spans per worker
         spans = [
             (s, min(s + span, config.trials))
             for s in range(0, config.trials, span)
         ]
+        args = [(config, K, rho, theta, s, e) for K, rho, theta in cells for s, e in spans]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for K, rho, theta in cells:
-                args = [(config, K, rho, theta, s, e) for s, e in spans]
-                _consume(K, rho, theta, _joined(list(pool.map(_run_span, args))))
+            batches = pool.map(_run_span, args)
+            _consume(_joined(list(itertools.islice(batches, len(spans)))) for _ in cells)
     return SweepResult(
         config=config,
         aggregates=tuple(aggregates),
-        trials=tuple(kept) if kept is not None else None,
+        trials=TrialTable(config.modes, kept) if per_trial else None,
     )
 
 
 def _fmt(value: float) -> str:
     """Every float in CSV and command-line output: 9 significant digits."""
-    return format(float(value), ".9g")
+    return format(float(value), _FLOAT_SPEC)
 
 
 def write_aggregate_csv(rows, path) -> None:
     """One row per (K, rho, theta, mode); floats at 9 significant digits."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [
-                    str(r.K), _fmt(r.rho), _fmt(r.theta), r.mode, str(r.trials),
-                    _fmt(r.p_no_orth), _fmt(r.p_no_orth_se), _fmt(r.ee_mean),
-                    _fmt(r.ee_user1), _fmt(r.ee_user2), _fmt(r.se_mean),
-                    _fmt(r.welfare_mean),
-                ]
+        fh.write(AGGREGATE_HEADER + "\n")
+        fh.writelines(
+            _AGGREGATE_ROW % (
+                r.K, r.rho, r.theta, r.mode, r.trials, r.p_no_orth, r.p_no_orth_se,
+                r.ee_mean, r.ee_user1, r.ee_user2, r.se_mean, r.welfare_mean,
             )
+            for r in rows
+        )
 
 
-def write_trial_csv(records, path) -> None:
-    """One row per (trial, mode); carriers are 1-based in the file."""
+def write_trial_csv(trials: TrialTable, path) -> None:
+    """One row per (trial, mode) of a sweep's ``TrialTable``; carriers are
+    1-based in the file.
+
+    Rows are formatted straight from each cell's arrays, one ``%`` template
+    a row, and written a bounded piece of trials at a time; no TrialRecord
+    is built.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_HEADER.split(","))
-        for rec in records:
-            for s in rec.stats:
-                writer.writerow(
-                    [
-                        str(rec.trial_index), str(rec.K), _fmt(rec.rho),
-                        _fmt(rec.theta), s.mode, s.kind,
-                        "true" if s.orthogonalized else "false",
-                        str(s.carriers[0] + 1), str(s.carriers[1] + 1),
-                        _fmt(s.powers[0]), _fmt(s.powers[1]),
-                        _fmt(s.sinrs[0]), _fmt(s.sinrs[1]),
-                        _fmt(s.utilities[0]), _fmt(s.utilities[1]),
-                        _fmt(s.welfare), _fmt(s.se), _fmt(s.system_ee),
-                    ]
-                )
+        fh.write(TRIAL_HEADER + "\n")
+        for K, rho, theta, cols in trials._cells:
+            cell = f"{K},{_fmt(rho)},{_fmt(theta)},"
+            templates = ["%d," + cell + mode + "," + _TRIAL_ROW_TAIL for mode in trials._modes]
+            n = cols.best.shape[1]
+            for lo in range(0, n, _PIECE_TRIALS):
+                hi = min(lo + _PIECE_TRIALS, n)
+                per_mode = [zip(range(lo, hi), *_trial_columns(m, lo, hi)) for m in cols.modes]
+                fh.write("".join([
+                    template % row
+                    for rows in zip(*per_mode)
+                    for template, row in zip(templates, rows)
+                ]))
+
+
+def _trial_columns(m: _ModeColumns, lo, hi):
+    """One mode's trial-CSV fields after the trial index, as lists over
+    trials ``lo`` to ``hi - 1``."""
+    o = m.outcomes
+    c0, c1 = o.carriers[:, lo:hi]
+    u0, u1 = o.utilities[:, lo:hi]
+    return (
+        _KIND_NAMES[o.kind[lo:hi]].tolist(),
+        np.where(c0 != c1, "true", "false").tolist(),
+        (c0 + 1).tolist(), (c1 + 1).tolist(),
+        *o.powers[:, lo:hi].tolist(), *o.sinrs[:, lo:hi].tolist(),
+        u0.tolist(), u1.tolist(), (u0 + u1).tolist(),
+        m.se[lo:hi].tolist(), m.system_ee[lo:hi].tolist(),
+    )

@@ -30,6 +30,7 @@ from specgame import (
     swap_roles,
     utility,
 )
+from specgame import equilibria
 from specgame.equilibria import (
     KINDS,
     NASH_EXACT,
@@ -518,10 +519,10 @@ LEADER_CASES = {
     "deter_retreat_tie": (
         M100, 1.0, (1.0, 1.0), [[1.0, _deter_retreat_tie_gain()], [100.0, 1.0]], "deter"
     ),
-    # the leader's starting power gamma_star * sigma2 / g overflows, so the
-    # halving grid never reaches the vanishing-power target
+    # gamma_star * sigma2 / g overflows, so the halving grid starts from its
+    # largest finite point instead and still reaches the vanishing-power target
     "epsilon_grid_exhausted": (
-        RATIONAL, 1e300, (1.0, 1.0), [[1e-10, 1e-12], [100.0, 1.0]], SolverFailure
+        RATIONAL, 1e300, (1.0, 1.0), [[1e-10, 1e-12], [100.0, 1.0]], "epsilon"
     ),
 }
 
@@ -571,6 +572,27 @@ class TestStackelbergRowsMatchScalar:
             return
         assert leader_winner(outcomes[0]) == winner
         assert outcomes[2].users == outcomes[0].users
+
+    def test_overflowing_epsilon_start_meets_the_target(self):
+        efficiency, sigma2, rates, gains, _ = LEADER_CASES["epsilon_grid_exhausted"]
+        out = solve("stackelberg", make_instance(gains, sigma2, rates, efficiency))
+        gs = efficiency.gamma_star
+        assert math.isinf(gs * sigma2 / gains[0][0])
+        # a grid point: a power of two times the exact gamma_star * sigma2 / g
+        scale = out.alpha / (gs * (sigma2 / 2.0**64) / gains[0][0])
+        assert math.isfinite(out.alpha) and math.frexp(scale)[0] == 0.5
+        vanish = out.candidates.vanish_value
+        assert out.epsilon == 1e-6 * vanish
+        assert out.users[0].utility >= vanish - out.epsilon
+
+    def test_grid_cap_raises_on_both_paths(self, monkeypatch):
+        # the halving grid from the start power reaches the target in a few
+        # dozen steps, so the 400-step cap is met only with a lowered cap
+        monkeypatch.setattr(equilibria, "_EPSILON_GRID_CAP", 1)
+        efficiency, sigma2, rates, gains, _ = LEADER_CASES["epsilon"]
+        assert assert_rows_match_scalar(efficiency, sigma2, rates, [gains]) is None
+        with pytest.raises(SolverFailure):
+            solve("stackelberg", make_instance(gains, sigma2, rates, efficiency))
 
     def test_tie_is_exact_and_noted(self):
         efficiency, sigma2, rates, gains, _ = LEADER_CASES["deter_retreat_tie"]

@@ -21,8 +21,10 @@ from specgame import (
     write_trial_csv,
 )
 from specgame import equilibria, sweep
-from specgame.sweep import AGGREGATE_HEADER, TRIAL_HEADER, MODES, _resolve_workers
-from support import ScaledExponentialEfficiency
+from specgame.sweep import (
+    AGGREGATE_HEADER, TRIAL_HEADER, MODES, TrialTable, _F, _fmt, _resolve_workers,
+)
+from support import ScaledExponentialEfficiency, write_trial_csv_reference
 
 GS_M100 = 6.474600379589404
 
@@ -330,6 +332,79 @@ class TestCsvFiles:
         assert row["p_no_orth"] == format(a.p_no_orth, ".9g")
 
 
+    def test_float_template_matches_format(self):
+        # the row templates' %-format and _fmt read one spec; they must agree
+        # on every float, edge values included
+        rng = np.random.default_rng(0)
+        edges = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1.0, 0.1, 123456789.5, 1e16]
+        values = np.concatenate([
+            edges,
+            rng.lognormal(0.0, 30.0, 20_000),
+            rng.uniform(-1.0, 1.0, 5_000) * 1e-300,
+            rng.uniform(-1.0, 1.0, 5_000) * 1e300,
+        ]).tolist()
+        for x in values:
+            assert _F % x == _fmt(x) == format(x, ".9g"), repr(x)
+
+
+class TestTrialTable:
+    CONFIG = dict(K_list=[2, 3], theta_list=[0.0, 1.0], trials=7, seed=4)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_sweep(SweepConfig(**self.CONFIG), per_trial=True).trials
+
+    def test_sequence_of_run_trial_records(self, table):
+        cfg = SweepConfig(**self.CONFIG)
+        assert isinstance(table, TrialTable)
+        assert len(table) == 2 * 2 * 7
+        assert table[0] == run_trial(cfg, 2, 0.0, 0.0, 0)
+        assert table[-1] == run_trial(cfg, 3, 0.0, 1.0, 6)
+        assert table[-len(table)] == table[0]
+        assert table[np.int64(9)] == run_trial(cfg, 2, 0.0, 1.0, 2)
+
+    def test_index_past_either_end(self, table):
+        for i in (len(table), len(table) + 5, -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_iteration_equals_indexing(self, table, monkeypatch):
+        monkeypatch.setattr(sweep, "_PIECE_TRIALS", 3)  # pieces split each cell
+        records = list(table)
+        assert records == [table[i] for i in range(len(table))]
+        assert list(reversed(table)) == records[::-1]
+
+    def test_sweep_and_trial_csv_build_no_record(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(sweep, "TrialRecord", refuse)
+        monkeypatch.setattr(sweep, "ModeStats", refuse)
+        res = run_sweep(SweepConfig(**self.CONFIG), per_trial=True)
+        write_trial_csv(res.trials, tmp_path / "tri.csv")
+        with pytest.raises(AssertionError, match="a record was built"):
+            res.trials[0]
+
+    def test_memory_per_trial(self):
+        # the table holds each cell's arrays, a few hundred bytes a trial;
+        # a tuple of TrialRecords took about 2,600
+        cfg = SweepConfig(K_list=[2, 4, 8], trials=2000, seed=3)
+        run_sweep(SweepConfig(K_list=[2], trials=20, seed=1), per_trial=True)
+        cfg.efficiency.gamma_star  # one-time set-up
+        tracemalloc.start()
+        try:
+            result = run_sweep(cfg, per_trial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.trials) == 6000
+        assert peak / 6000 < 800, peak / 6000
+
+
 class TestCsvCanary:
     """Pinned SHA-256 digests of small sweeps.
 
@@ -434,6 +509,16 @@ class TestBatchedMatchesScalar:
         assert len(got) == len(expected)
         for rec, ref in zip(got, expected):
             assert rec == ref, f"{name}: trial {ref.trial_index} at K={ref.K} differs"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_trial_csv_equals_record_writer(self, name, workers, scalar_reference, tmp_path):
+        # the column writer against csv.writer over run_trial's records
+        cfg, expected = scalar_reference(name)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_trial_csv(run_sweep(cfg, per_trial=True, workers=workers).trials, got)
+        write_trial_csv_reference(expected, ref)
+        assert got.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(BATCH_CASES))
     def test_aggregates_equal_means_of_run_trial(self, name, scalar_reference):
