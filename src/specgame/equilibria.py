@@ -20,26 +20,33 @@ their second best on a common best carrier) and otherwise orthogonalizes.
 Every solved game puts each user on a single carrier, so the SINRs and
 utilities stored on outcomes are evaluated from the two final (carrier,
 power) pairs directly; the candidate values are kept alongside as
-diagnostics.  ``SOLVERS`` maps each sweep mode to its solver, and
-``solve`` looks the solver up at call time.
+diagnostics.
 
-Sweeps solve many games at once with ``solve_rows``, which reproduces the
-scalar solvers bit for bit on arrays, the leader's four-way comparison and
-the epsilon fallback included.  Sweeps therefore never call a solver
-patched onto this module; ``solve``, and with it ``run_trial`` and the
-oracle checks of :mod:`specgame.verify`, always see it.
+Each solver has one implementation, on arrays: ``solve_rows`` solves many
+games at once, the leader's four-way comparison and the epsilon fallback
+included.  The public solvers (``nash_solve``, ``stackelberg_solve``,
+``social_optimum`` and ``epsilon_equilibrium``) are its one-row case: each
+solves a one-row ``GameRows`` and reads row 0 back as an
+``EquilibriumOutcome`` with its diagnostics.  ``SOLVERS`` maps each sweep
+mode to its public solver, and ``solve`` looks the solver up at call time,
+so a solver patched onto this module reaches ``solve`` and the oracle
+checks of :mod:`specgame.verify`, but not sweeps, which call
+``solve_rows``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, best_two_carriers, top_two
+from .channel import ChannelMatrix, top_two
 from .errors import PreconditionError, SolverFailure
-from .efficiency import _BISECT_TOL, EfficiencyModel, beta_star_each, solve_beta_star
+from .efficiency import _BISECT_TOL, EfficiencyModel, beta_star_each
+# bound here only so that perfbench's traced pass can wrap them on this module
+from .channel import best_two_carriers  # noqa: F401
+from .efficiency import solve_beta_star  # noqa: F401
 from .game import (
     GameInstance,
     PowerAllocation,
@@ -124,39 +131,6 @@ def solve(mode: str, inst: GameInstance) -> EquilibriumOutcome:
     return globals()[SOLVERS[mode]](inst)
 
 
-def _users(inst, carriers, powers):
-    """Per-user outcomes when user n puts ``powers[n]`` on ``carriers[n]`` only.
-
-    SINR is ``g p / (sigma2 + rival's received power on a shared carrier)``
-    and utility ``R f(SINR) / p``, 0 for a silent user, as in ``game.utility``.
-    """
-    g = inst.channel.gains
-    received = (g[0, carriers[0]] * powers[0], g[1, carriers[1]] * powers[1])
-    shared = carriers[0] == carriers[1]
-    users = []
-    for n in (0, 1):
-        p = float(powers[n])
-        s = float(received[n] / (inst.sigma2 + (received[1 - n] if shared else 0.0)))
-        u = inst.rates[n] * float(inst.efficiency.value(s)) / p if p != 0.0 else 0.0
-        users.append(UserOutcome(carrier=carriers[n], power=p, sinr=s, utility=u))
-    return tuple(users)
-
-
-def _outcome(inst, kind, carriers, powers=None, **extra):
-    """Assemble an outcome; ``powers`` defaults to gamma_star alone on each carrier."""
-    if powers is None:
-        g = inst.channel.gains
-        peak = inst.efficiency.gamma_star * inst.sigma2
-        powers = (peak / g[0, carriers[0]], peak / g[1, carriers[1]])
-    return EquilibriumOutcome(
-        kind=kind,
-        users=_users(inst, carriers, powers),
-        orthogonalized=carriers[0] != carriers[1],
-        instance=inst,
-        **extra,
-    )
-
-
 def follower_best_response(inst: GameInstance, leader_powers) -> np.ndarray:
     """The follower's reply to a fixed leader allocation.
 
@@ -177,47 +151,32 @@ def follower_best_response(inst: GameInstance, leader_powers) -> np.ndarray:
     return reply
 
 
-def _ranked(inst):
-    b1, s1 = best_two_carriers(inst.channel, 0)
-    b2, s2 = best_two_carriers(inst.channel, 1)
-    return b1, s1, b2, s2
+def _one_row(inst: GameInstance) -> GameRows:
+    """``inst`` as a one-row ``GameRows``."""
+    return GameRows(inst.channel.gains[None], inst.sigma2, inst.rates, inst.efficiency)
 
 
-def _leader_candidates(inst, b1, s1, b2, s2):
-    g = inst.channel.gains
-    s2n = inst.sigma2
-    f = inst.efficiency
-    gs = f.gamma_star
-    R1 = inst.rates[0]
-    gamma_hat = (g[1, b2] - g[1, s2]) / g[1, s2]
-
-    if gamma_hat > 0.0:
-        deter = R1 * float(f.value(gamma_hat)) * g[0, b1] / (gamma_hat * s2n)
-    else:
-        deter = R1 * float(f.derivative(0.0)) * g[0, b1] / s2n  # gap-free limit
-    retreat = R1 * float(f.value(gs)) * g[0, s1] / (gs * s2n)
-    vanish = float(f.derivative(0.0)) * g[0, b1] * R1 / (s2n * (1.0 + gs))
-    best_alone = R1 * float(f.value(gs)) * g[0, b1] / (gs * s2n)
-
-    share_sinr = None
-    share_value = None
-    if gamma_hat > gs:
-        x_max = gamma_hat / (1.0 + gs * (1.0 + gamma_hat))
-        share_sinr = solve_beta_star(f, x_max)
-        if share_sinr is not None:
-            share_value = (
-                R1 * float(f.value(share_sinr)) * (1.0 - gs * share_sinr) * g[0, b1]
-                / (share_sinr * s2n * (1.0 + gs))
-            )
-    return gamma_hat, LeaderCandidates(
-        deterrence_sinr=gamma_hat,
-        share_sinr=share_sinr,
-        share_value=share_value,
-        deter_value=deter,
-        retreat_value=retreat,
-        vanish_value=vanish,
-        best_alone_value=best_alone,
+def _as_outcome(inst: GameInstance, out: RowOutcomes, **extra) -> EquilibriumOutcome:
+    """Row 0 of ``out`` as the outcome of ``inst``."""
+    columns = (out.carriers, out.powers, out.sinrs, out.utilities)
+    users = tuple(UserOutcome(*user) for user in zip(*(a[:, 0].tolist() for a in columns)))
+    return EquilibriumOutcome(
+        kind=KINDS[out.kind[0]],
+        users=users,
+        orthogonalized=users[0].carrier != users[1].carrier,
+        instance=inst,
+        divergent=bool(out.divergent[0]),
+        **extra,
     )
+
+
+def _candidates(rows: GameRows) -> LeaderCandidates:
+    """The leader's candidates in the one game of ``rows``, a contested one."""
+    values = _leader_values(rows, np.zeros(1, dtype=np.intp))
+    cand = LeaderCandidates(*(float(v[0]) for v in values))
+    if np.isnan(cand.share_sinr):
+        return replace(cand, share_sinr=None, share_value=None)
+    return cand
 
 
 def _attainable(cand):
@@ -239,49 +198,28 @@ def stackelberg_solve(inst: GameInstance) -> EquilibriumOutcome:
     epsilon-equilibrium with the default epsilon of 1e-6 times the
     supremum.
     """
-    g = inst.channel.gains
-    s2n = inst.sigma2
-    gs = inst.efficiency.gamma_star
-    b1, s1, b2, s2 = _ranked(inst)
-
-    if b1 != b2:
-        return _outcome(inst, STACKELBERG_EXACT, (b1, b2))
-
-    gamma_hat, cand = _leader_candidates(inst, b1, s1, b2, s2)
-
-    if gamma_hat <= gs:
-        return _outcome(inst, STACKELBERG_EXACT, (b1, s2), candidates=cand)
-
-    exact = _attainable(cand)
-    best_exact = max(v for _, v in exact)
-
-    if cand.vanish_value > best_exact:
-        return _epsilon_outcome(
-            inst, b1, b2, cand, epsilon=1e-6 * cand.vanish_value,
+    rows = _one_row(inst)
+    out = _stackelberg_rows(rows)
+    if rows.best[0, 0] != rows.best[1, 0]:
+        return _as_outcome(inst, out)
+    cand = _candidates(rows)
+    if cand.deterrence_sinr <= rows.efficiency.gamma_star:
+        return _as_outcome(inst, out, candidates=cand)
+    if KINDS[out.kind[0]] == STACKELBERG_EPSILON:
+        return _as_outcome(
+            inst, out, candidates=cand, epsilon=1e-6 * cand.vanish_value,
+            alpha=float(out.powers[0, 0]),
             notes=("auto epsilon: vanishing-power supremum beats every exact option",),
         )
-
+    exact = _attainable(cand)
+    best_exact = max(v for _, v in exact)
     notes = []
     if cand.share_value is None:
         notes.append("no shared-carrier root: compared deter and retreat only")
     winners = [name for name, v in exact if v == best_exact]
     if len(winners) > 1:
         notes.append("tie between candidate values: " + ", ".join(winners))
-    winner = winners[0]  # list order encodes the tie priority
-    extra = dict(candidates=cand, notes=tuple(notes))
-
-    if winner == "deter":
-        powers = (gamma_hat * s2n / g[0, b1], gs * s2n / g[1, s2])
-        return _outcome(inst, STACKELBERG_EXACT, (b1, s2), powers, **extra)
-    if winner == "retreat":
-        return _outcome(inst, STACKELBERG_EXACT, (s1, b2), **extra)
-    bs = cand.share_sinr
-    one_minus = 1.0 - gs * bs
-    powers = (
-        bs * (1.0 + gs) * s2n / (g[0, b1] * one_minus),
-        gs * (1.0 + bs) * s2n / (g[1, b2] * one_minus),
-    )
-    return _outcome(inst, STACKELBERG_EXACT, (b1, b2), powers, **extra)
+    return _as_outcome(inst, out, candidates=cand, notes=tuple(notes))
 
 
 def _epsilon_start(gs, s2n, g):
@@ -305,29 +243,6 @@ def _epsilon_start(gs, s2n, g):
     return alpha
 
 
-def _epsilon_outcome(inst, b1, b2, cand, epsilon, notes=()):
-    g = inst.channel.gains
-    s2n = inst.sigma2
-    gs = inst.efficiency.gamma_star
-    target = cand.vanish_value - epsilon
-    alpha = _epsilon_start(gs, s2n, g[0, b1 : b1 + 1])[0]
-    for _ in range(_EPSILON_GRID_CAP):
-        follower_power = gs * (s2n + g[0, b1] * alpha) / g[1, b2]
-        users = _users(inst, (b1, b2), (alpha, follower_power))
-        if users[0].utility >= target:
-            break
-        alpha *= 0.5
-    else:
-        raise SolverFailure(
-            "leader utility did not reach the vanishing-power target on the "
-            f"geometric grid (epsilon={epsilon!r})"
-        )
-    return EquilibriumOutcome(
-        kind=STACKELBERG_EPSILON, users=users, orthogonalized=False, instance=inst,
-        candidates=cand, epsilon=epsilon, alpha=alpha, notes=tuple(notes),
-    )
-
-
 def epsilon_equilibrium(inst: GameInstance, epsilon: float) -> EquilibriumOutcome:
     """Near-equilibrium for games whose leader supremum is unattainable.
 
@@ -341,18 +256,26 @@ def epsilon_equilibrium(inst: GameInstance, epsilon: float) -> EquilibriumOutcom
     """
     if not epsilon > 0.0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon!r}")
-    b1, s1, b2, s2 = _ranked(inst)
-    if b1 != b2:
+    rows = _one_row(inst)
+    if rows.best[0, 0] != rows.best[1, 0]:
         raise PreconditionError("distinct best carriers: an exact equilibrium exists")
-    gs = inst.efficiency.gamma_star
-    gamma_hat, cand = _leader_candidates(inst, b1, s1, b2, s2)
-    if gamma_hat <= gs:
+    cand = _candidates(rows)
+    if cand.deterrence_sinr <= rows.efficiency.gamma_star:
         raise PreconditionError("follower gap below gamma_star: exact equilibrium exists")
     if not cand.vanish_value > max(v for _, v in _attainable(cand)):
         raise PreconditionError(
             "vanishing-power supremum does not dominate: exact equilibrium exists"
         )
-    return _epsilon_outcome(inst, b1, b2, cand, epsilon)
+    g_b1, g_b2 = rows.best_gains
+    powers = _epsilon_powers(
+        rows, g_b1, g_b2, np.array([cand.vanish_value]), np.array([epsilon], dtype=float)
+    )
+    out = _row_outcomes(
+        rows, KINDS.index(STACKELBERG_EPSILON), rows.best, powers=np.stack(powers)
+    )
+    return _as_outcome(
+        inst, out, candidates=cand, epsilon=epsilon, alpha=float(out.powers[0, 0])
+    )
 
 
 def nash_solve(inst: GameInstance) -> EquilibriumOutcome:
@@ -370,41 +293,12 @@ def nash_solve(inst: GameInstance) -> EquilibriumOutcome:
     when both are below, the smaller ratio yields (user 1 on an exact
     ratio tie).
     """
-    g = inst.channel.gains
-    gs = inst.efficiency.gamma_star
-    b1, s1, b2, s2 = _ranked(inst)
-
-    if b1 != b2:
-        return _outcome(inst, NASH_EXACT, (b1, b2))
-
-    r1 = g[0, b1] / g[0, s1]
-    r2 = g[1, b2] / g[1, s2]
-    threshold = 1.0 + gs
-
-    if r1 >= threshold and r2 >= threshold:
-        if _shares_finitely(gs):
-            powers = shared_nash_powers(gs, inst.sigma2, (g[0, b1], g[1, b2]))
-            return _outcome(inst, NASH_SHARED, (b1, b2), powers)
-        users = tuple(
-            UserOutcome(carrier=(b1, b2)[n], power=np.inf, sinr=0.0, utility=0.0)
-            for n in (0, 1)
+    out = _nash_rows(_one_row(inst))
+    if out.divergent[0]:
+        return _as_outcome(
+            inst, out, notes=("shared fixed point diverges for gamma_star >= 1",)
         )
-        return EquilibriumOutcome(
-            kind=NASH_SHARED,
-            users=users,
-            orthogonalized=False,
-            instance=inst,
-            divergent=True,
-            notes=("shared fixed point diverges for gamma_star >= 1",),
-        )
-
-    if r1 >= threshold > r2:
-        user1_yields = False
-    elif r2 >= threshold > r1:
-        user1_yields = True
-    else:
-        user1_yields = r1 <= r2
-    return _outcome(inst, NASH_EXACT, (s1, b2) if user1_yields else (b1, s2))
+    return _as_outcome(inst, out)
 
 
 def _shares_finitely(gamma_star):
@@ -436,11 +330,7 @@ def social_optimum(inst: GameInstance) -> EquilibriumOutcome:
     proportional to ``R_1 g_1^j + R_2 g_2^k``.  Lexicographically first
     maximizer on ties.
     """
-    g = inst.channel.gains
-    score = inst.rates[0] * g[0][:, None] + inst.rates[1] * g[1][None, :]
-    np.fill_diagonal(score, -np.inf)
-    j, k = np.unravel_index(int(np.argmax(score)), score.shape)
-    return _outcome(inst, SOCIAL_OPTIMUM, (int(j), int(k)))
+    return _as_outcome(inst, _social_rows(_one_row(inst)))
 
 
 def swap_roles(inst: GameInstance) -> tuple[EquilibriumOutcome, EquilibriumOutcome]:
@@ -472,10 +362,9 @@ def swap_roles(inst: GameInstance) -> tuple[EquilibriumOutcome, EquilibriumOutco
     return as_leader, as_follower
 
 
-# Batched solvers: one mode on many games at once.  Every number equals what
-# the scalar solver above returns for the same row, bit for bit: the
-# arithmetic is the same, in the same order, and f is evaluated through
-# ``EfficiencyModel.value_each``.
+# Array solvers: one mode on many games at once, and the one implementation
+# of every solver above.  f is evaluated through ``EfficiencyModel.value_each``,
+# which rounds each entry as a scalar evaluation does.
 
 KINDS = (NASH_EXACT, NASH_SHARED, STACKELBERG_EXACT, STACKELBERG_EPSILON, SOCIAL_OPTIMUM)
 
@@ -521,12 +410,14 @@ class RowOutcomes(NamedTuple):
 
 
 def _row_outcomes(rows, kind, carriers, received=None, powers=None):
-    """Batched ``_outcome``: user n alone on ``carriers[n]`` in every row.
+    """User n alone on ``carriers[n]`` in every row.
 
     ``kind`` is an index into ``KINDS``, one for all rows or one per row.
     Unless ``powers`` gives them, shape (2, n), each power is ``received /
     g`` on the user's carrier; ``received`` defaults to ``gamma_star *
-    sigma2``, the interference-free peak.
+    sigma2``, the interference-free peak.  SINR is ``g p / (sigma2 +
+    rival's received power on a shared carrier)`` and utility ``R f(SINR) /
+    p``, 0 for a silent user, as in ``game.utility``.
     """
     carriers = np.stack(carriers)
     g = rows.gains_at(carriers)
@@ -586,36 +477,58 @@ def _stackelberg_rows(rows):
     (b1, b2), s2 = rows.best, rows.second[1]
     contested = b1 == b2
     g_best, g_second = rows.best_gains[1], rows.second_gains[1]
-    gamma_hat = (g_best - g_second) / g_second
+    leads = contested & ((g_best - g_second) / g_second > gs)
     kind = np.full(b1.shape, KINDS.index(STACKELBERG_EXACT), dtype=np.int8)
     carriers = np.stack((b1, np.where(contested, s2, b2)))
-    powers = gs * rows.sigma2 / rows.gains_at(carriers)
-    leader = np.flatnonzero(contested & (gamma_hat > gs))
+    # gamma_star alone on each carrier, except where the leader chooses
+    powers = np.empty(carriers.shape)
+    np.divide(gs * rows.sigma2, rows.gains_at(carriers), out=powers, where=~leads)
+    leader = np.flatnonzero(leads)
     if leader.size:
-        _leader_choice(rows, leader, gamma_hat[leader], kind, carriers, powers)
+        _leader_choice(rows, leader, kind, carriers, powers)
     return _row_outcomes(rows, kind, carriers, powers=powers)
 
 
-def _leader_choice(rows, idx, gamma_hat, kind, carriers, powers):
-    """Batched leader comparison of ``stackelberg_solve`` on rows ``idx``.
+class _LeaderValues(NamedTuple):
+    """``LeaderCandidates`` on many rows, field for field; NaN for no share root."""
 
-    The rows are contested with a follower gap ``gamma_hat`` above
-    gamma_star.  Writes each row's kind, carriers and powers in place, with
-    the operations of ``_leader_candidates``, ``stackelberg_solve`` and
-    ``_epsilon_outcome`` in the same order.
+    deterrence_sinr: np.ndarray
+    share_sinr: np.ndarray
+    share_value: np.ndarray
+    deter_value: np.ndarray
+    retreat_value: np.ndarray
+    vanish_value: np.ndarray
+    best_alone_value: np.ndarray
+
+
+def _leader_values(rows, idx) -> _LeaderValues:
+    """The leader's candidate values on the contested rows ``idx``.
+
+    The deter value takes its gap-free limit where the follower's gap is 0,
+    and a share root is sought only where the gap exceeds gamma_star.
     """
     f = rows.efficiency
     gs = f.gamma_star
     s2n = rows.sigma2
     R1 = rows.rates[0]
     g_b1 = rows.best_gains[0, idx]
-    g_s1 = rows.second_gains[0, idx]
-    g_b2 = rows.best_gains[1, idx]
+    g_best, g_second = rows.best_gains[1, idx], rows.second_gains[1, idx]
+    gamma_hat = (g_best - g_second) / g_second
 
-    deter = R1 * f.value_each(gamma_hat) * g_b1 / (gamma_hat * s2n)
-    retreat = R1 * float(f.value(gs)) * g_s1 / (gs * s2n)
-    vanish = float(f.derivative(0.0)) * g_b1 * R1 / (s2n * (1.0 + gs))
-    share_sinr = beta_star_each(f, gamma_hat / (1.0 + gs * (1.0 + gamma_hat)))
+    slope = float(f.derivative(0.0))
+    gap = gamma_hat > 0.0
+    deter = np.empty(idx.shape)
+    deter[gap] = R1 * f.value_each(gamma_hat[gap]) * g_b1[gap] / (gamma_hat[gap] * s2n)
+    deter[~gap] = R1 * slope * g_b1[~gap] / s2n  # gap-free limit
+    peak_rate = float(f.value(gs))
+    retreat = R1 * peak_rate * rows.second_gains[0, idx] / (gs * s2n)
+    vanish = slope * g_b1 * R1 / (s2n * (1.0 + gs))
+    best_alone = R1 * peak_rate * g_b1 / (gs * s2n)
+
+    share_sinr = np.full(idx.shape, np.nan)
+    wide = gamma_hat > gs
+    g_wide = gamma_hat[wide]
+    share_sinr[wide] = beta_star_each(f, g_wide / (1.0 + gs * (1.0 + g_wide)))
     has_share = ~np.isnan(share_sinr)
     bs = share_sinr[has_share]
     share = np.full(idx.shape, np.nan)
@@ -623,41 +536,62 @@ def _leader_choice(rows, idx, gamma_hat, kind, carriers, powers):
         R1 * f.value_each(bs) * (1.0 - gs * bs) * g_b1[has_share]
         / (bs * s2n * (1.0 + gs))
     )
+    return _LeaderValues(gamma_hat, share_sinr, share, deter, retreat, vanish, best_alone)
+
+
+def _leader_choice(rows, idx, kind, carriers, powers):
+    """The leader's comparison on rows ``idx``, contested with a follower
+    gap above gamma_star: writes each row's kind, carriers and powers.
+
+    On exact value ties the priority is deter > retreat > share; a vanish
+    value above all three gives an epsilon row at epsilon = 1e-6 * vanish.
+    """
+    v = _leader_values(rows, idx)
+    gs = rows.efficiency.gamma_star
+    s2n = rows.sigma2
+    peak = gs * s2n
+    g_b1, g_b2 = rows.best_gains[:, idx]
+    g_s1, g_s2 = rows.second_gains[:, idx]
 
     # Python's max over (deter, retreat[, share]): a later value replaces
-    # the running maximum only when strictly greater
-    best = np.where(retreat > deter, retreat, deter)
-    best = np.where(has_share & (share > best), share, best)
-    epsilon = vanish > best
-    deter_wins = ~epsilon & (deter == best)
-    retreat_wins = ~epsilon & ~deter_wins & (retreat == best)
+    # the running maximum only when strictly greater (never a NaN share)
+    best = np.where(v.retreat_value > v.deter_value, v.retreat_value, v.deter_value)
+    best = np.where(v.share_value > best, v.share_value, best)
+    epsilon = v.vanish_value > best
+    deter_wins = ~epsilon & (v.deter_value == best)
+    retreat_wins = ~epsilon & ~deter_wins & (v.retreat_value == best)
     share_wins = ~epsilon & ~deter_wins & ~retreat_wins
 
     d = idx[deter_wins]
-    powers[0, d] = gamma_hat[deter_wins] * s2n / g_b1[deter_wins]
+    powers[0, d] = v.deterrence_sinr[deter_wins] * s2n / g_b1[deter_wins]
+    powers[1, d] = peak / g_s2[deter_wins]
     r = idx[retreat_wins]
     carriers[:, r] = rows.second[0, r], rows.best[1, r]
-    powers[:, r] = gs * s2n / g_s1[retreat_wins], gs * s2n / g_b2[retreat_wins]
+    powers[:, r] = peak / g_s1[retreat_wins], peak / g_b2[retreat_wins]
     sh = idx[share_wins]
     carriers[1, sh] = rows.best[1, sh]
-    bs = share_sinr[share_wins]
+    bs = v.share_sinr[share_wins]
     one_minus = 1.0 - gs * bs
     powers[0, sh] = bs * (1.0 + gs) * s2n / (g_b1[share_wins] * one_minus)
     powers[1, sh] = gs * (1.0 + bs) * s2n / (g_b2[share_wins] * one_minus)
     e = idx[epsilon]
-    kind[e] = KINDS.index(STACKELBERG_EPSILON)
-    carriers[1, e] = rows.best[1, e]
-    powers[:, e] = _epsilon_powers(rows, g_b1[epsilon], g_b2[epsilon], vanish[epsilon])
+    if e.size:
+        kind[e] = KINDS.index(STACKELBERG_EPSILON)
+        carriers[1, e] = rows.best[1, e]
+        vanish = v.vanish_value[epsilon]
+        powers[:, e] = _epsilon_powers(
+            rows, g_b1[epsilon], g_b2[epsilon], vanish, 1e-6 * vanish
+        )
 
 
-def _epsilon_powers(rows, g_b1, g_b2, vanish):
-    """Batched ``_epsilon_outcome`` at epsilon = 1e-6 * vanish: the leader's
-    halved power on each row, and the follower's reply to it."""
+def _epsilon_powers(rows, g_b1, g_b2, vanish, epsilon):
+    """The leader's power on each row, halved from ``_epsilon_start`` until
+    his utility is within ``epsilon`` of ``vanish``, and the follower's
+    reply to it."""
     f = rows.efficiency
     gs = f.gamma_star
     s2n = rows.sigma2
     R1 = rows.rates[0]
-    epsilon = 1e-6 * vanish
     target = vanish - epsilon
     alpha = _epsilon_start(gs, s2n, g_b1)
     short = np.arange(alpha.size)
@@ -699,7 +633,6 @@ _ROW_SOLVERS = {
 def solve_rows(mode: str, rows: GameRows) -> RowOutcomes:
     """Solve every row of ``rows`` in ``mode``, as ``solve`` would row by row.
 
-    Every row is solved on arrays, without calling a scalar solver; the
-    share roots come from the model's cached ``beta_star_roots``.
+    The share roots come from the model's cached ``beta_star_roots``.
     """
     return _ROW_SOLVERS[mode](rows)

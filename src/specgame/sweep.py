@@ -8,13 +8,12 @@ count.  Reusing the same trial indices across grid cells is deliberate:
 cells share underlying fading draws, so curves over ``rho`` and ``theta``
 are paired comparisons rather than independent resamples.
 
-``run_sweep`` solves each cell on arrays, a chunk of trials at a time, and
-stores exactly what ``run_trial`` stores for every trial: the draws, the
-carrier ranking, the closed forms and f are evaluated with the scalar
-path's rounding (``EfficiencyModel.value_each``).  A sweep calls no scalar
-solver, so a solver patched onto :mod:`specgame.equilibria` never reaches
-it.  ``run_trial`` solves one trial the scalar way, looking the solvers up
-at call time, and is the reference the batched path is tested against.
+``run_sweep`` solves each cell on arrays (``equilibria.solve_rows``), a
+chunk of trials at a time; ``run_trial`` is the one-trial case of the same
+pass.  f is evaluated with the rounding of a scalar evaluation
+(``EfficiencyModel.value_each``), so a trial's numbers do not depend on
+the chunk it is solved in.  A sweep calls no public solver, so a solver
+patched onto :mod:`specgame.equilibria` never reaches it.
 
 Per-trial results stay in those arrays.  ``SweepResult.trials`` is a
 ``TrialTable``, which builds a ``TrialRecord`` only when one is read, and
@@ -40,10 +39,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import equilibria
-from .channel import CorrelationSpec, best_two_carriers, sample_channel, sample_gains
+from .channel import CorrelationSpec, sample_gains
+# bound here only so that perfbench's traced pass can wrap them on this module
+from .channel import best_two_carriers, sample_channel  # noqa: F401
 from .efficiency import EfficiencyModel, ExponentialEfficiency
 from .errors import ConfigError
-from .game import GameInstance, check_sigma2_and_rates
+from .game import check_sigma2_and_rates
 
 MODES = tuple(equilibria.SOLVERS)
 WORKERS_ENV = "SPECGAME_WORKERS"
@@ -172,64 +173,6 @@ class SweepResult:
     trials: TrialTable | None = None
 
 
-def _mode_stats(mode: str, outcome) -> ModeStats:
-    inst = outcome.instance
-    f = inst.efficiency
-    u0, u1 = outcome.users
-    total_power = u0.power + u1.power  # divergent trials carry inf here
-    rate_sum = inst.rates[0] * float(f.value(u0.sinr)) + inst.rates[1] * float(
-        f.value(u1.sinr)
-    )
-    se = 0.5 * float(np.log2(1.0 + u0.sinr) + np.log2(1.0 + u1.sinr))
-    return ModeStats(
-        mode=mode,
-        kind=outcome.kind,
-        orthogonalized=outcome.orthogonalized,
-        carriers=(u0.carrier, u1.carrier),
-        powers=(u0.power, u1.power),
-        sinrs=(u0.sinr, u1.sinr),
-        utilities=(u0.utility, u1.utility),
-        welfare=outcome.welfare,
-        se=se,
-        system_ee=rate_sum / total_power,
-        divergent=outcome.divergent,
-    )
-
-
-def run_trial(
-    config: SweepConfig, K: int, rho: float, theta: float, trial_index: int
-) -> TrialRecord:
-    """Sample one channel and solve every requested mode on it."""
-    spec = CorrelationSpec(
-        rho_carrier=rho, theta_user=theta, mean_gain=config.mean_gain
-    )
-    channel = sample_channel(K, spec, config.seed, trial_index)
-    inst = GameInstance(
-        channel=channel,
-        sigma2=config.sigma2,
-        rates=config.rates,
-        efficiency=config.efficiency,
-    )
-    g = channel.gains
-    b1, s1 = best_two_carriers(channel, 0)
-    b2, s2 = best_two_carriers(channel, 1)
-    stats = tuple(
-        _mode_stats(mode, equilibria.solve(mode, inst))
-        for mode in config.modes
-    )
-    return TrialRecord(
-        trial_index=trial_index,
-        K=K,
-        rho=rho,
-        theta=theta,
-        best_carriers=(b1, b2),
-        second_carriers=(s1, s2),
-        best_gains=(float(g[0, b1]), float(g[1, b2])),
-        second_gains=(float(g[0, s1]), float(g[1, s2])),
-        stats=stats,
-    )
-
-
 _KIND_NAMES = np.array(equilibria.KINDS, dtype=object)
 
 
@@ -252,7 +195,7 @@ class _SpanColumns(NamedTuple):
 
 
 def _mode_columns(outcomes, f, rates) -> _ModeColumns:
-    """Batched ``_mode_stats``: the same operations in the same order."""
+    """One mode's outcomes with the per-trial SE and system EE."""
     s0, s1 = outcomes.sinrs
     p0, p1 = outcomes.powers
     rate_sum = rates[0] * f.value_each(s0) + rates[1] * f.value_each(s1)
@@ -311,9 +254,11 @@ def _run_span(args) -> _SpanColumns:
     ])
 
 
-def _records(modes, K, rho, theta, cols: _SpanColumns, lo, hi) -> list[TrialRecord]:
-    """The TrialRecords ``run_trial`` returns for trials ``lo`` to ``hi - 1``
-    of the cell, in order."""
+def _records(
+    modes, K, rho, theta, cols: _SpanColumns, lo, hi, first=0
+) -> list[TrialRecord]:
+    """The TrialRecords of columns ``lo`` to ``hi - 1`` of ``cols``, in order;
+    column 0 holds trial ``first``."""
     per_mode = []
     for mode, m in zip(modes, cols.modes):
         o = m.outcomes
@@ -341,8 +286,19 @@ def _records(modes, K, rho, theta, cols: _SpanColumns, lo, hi) -> list[TrialReco
             cols.best[:, lo:hi].T.tolist(), cols.second[:, lo:hi].T.tolist(),
             cols.best_gains[:, lo:hi].T.tolist(), cols.second_gains[:, lo:hi].T.tolist(),
             zip(*per_mode),
-        ), lo)
+        ), first + lo)
     ]
+
+
+def run_trial(
+    config: SweepConfig, K: int, rho: float, theta: float, trial_index: int
+) -> TrialRecord:
+    """Sample one channel and solve every requested mode on it: the one-trial
+    span of a sweep."""
+    if K < 2 or trial_index < 0:
+        raise ConfigError(f"need K >= 2 and trial_index >= 0, got {K!r}, {trial_index!r}")
+    cols = _run_span((config, K, rho, theta, trial_index, trial_index + 1))
+    return _records(config.modes, K, rho, theta, cols, 0, 1, first=trial_index)[0]
 
 
 class TrialTable(Sequence):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, equilibria, sweep
-from .channel import ChannelMatrix, CorrelationSpec, sample_channel
+from .channel import ChannelMatrix, CorrelationSpec, sample_channel, sample_gains
 from .efficiency import ExponentialEfficiency, RationalSigmoidEfficiency
 from .equilibria import _TIE_REL
 from .errors import ConfigError
@@ -437,9 +437,7 @@ def _check_channel_statistics(seed) -> CheckResult:
     gs = ExponentialEfficiency(M=100).gamma_star
     n = 20_000
     spec = CorrelationSpec()
-    rows = np.stack(
-        [sample_channel(2, spec, seed, t).gains for t in range(n)]
-    )  # (n, 2, 2)
+    rows = sample_gains(2, spec, seed, 0, n)  # (n, 2, 2)
     flat = rows.reshape(-1)
     mean_ok = abs(flat.mean() - 1.0) < 3.0 / np.sqrt(flat.size)
     top = rows.max(axis=2)
@@ -450,14 +448,12 @@ def _check_channel_statistics(seed) -> CheckResult:
     ratio_ok = abs(hits - target) < band
 
     rho_spec = CorrelationSpec(rho_carrier=0.8)
-    g = np.stack([sample_channel(2, rho_spec, seed + 1, t).gains[0] for t in range(n)])
+    g = sample_gains(2, rho_spec, seed + 1, 0, n)[:, 0]
     rho_corr = float(np.corrcoef(g[:, 0], g[:, 1])[0, 1])
     rho_ok = abs(rho_corr - 0.64) < 0.05
 
     theta_spec = CorrelationSpec(theta_user=0.8)
-    g = np.stack(
-        [sample_channel(2, theta_spec, seed + 2, t).gains[:, 0] for t in range(n)]
-    )
+    g = sample_gains(2, theta_spec, seed + 2, 0, n)[:, :, 0]
     theta_corr = float(np.corrcoef(g[:, 0], g[:, 1])[0, 1])
     theta_ok = abs(theta_corr - 0.64) < 0.05
     return CheckResult(

@@ -1,6 +1,8 @@
 """Closed-form equilibria: every branch of the sequential and simultaneous solvers."""
 
+import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -301,6 +303,18 @@ class TestNash:
         assert (out_i.users[0].carrier, out_i.users[1].carrier) == (1, 0)
         out_j = nash_solve(make_instance([[5.0, 1.0], [4.0, 1.0]]))
         assert (out_j.users[0].carrier, out_j.users[1].carrier) == (0, 1)
+
+    def test_exact_ratio_tie_user1_yields(self):
+        """user 1 yields on an exact ratio tie"""
+        tie = [[2.0, 1.0], [2.0, 1.0]]  # both ratios 2, below 1 + gamma_star
+        assert 2.0 < 1.0 + GS
+        out = nash_solve(make_instance(tie))
+        assert out.kind == NASH_EXACT
+        assert (out.users[0].carrier, out.users[1].carrier) == (1, 0)
+        batch = np.array([[[2.0, 1.0], [1.0, 2.0]], tie, [[5.0, 1.0], [4.0, 1.0]], tie])
+        rows = solve_rows("nash", GameRows(batch, 1.0, (1.0, 1.0), M100))
+        assert rows.carriers.T.tolist() == [[0, 1], [1, 0], [0, 1], [1, 0]]
+        assert [KINDS[k] for k in rows.kind] == [NASH_EXACT] * 4
 
     def test_orthogonal_outcome_is_mutual_best_response(self):
         for gains in ([[10.0, 1.0], [3.0, 1.0]], [[3.0, 1.0], [4.0, 1.0]]):
@@ -609,3 +623,72 @@ class TestStackelbergRowsMatchScalar:
     @given(stackelberg_batches())
     def test_generated_games(self, batch):
         assert_rows_match_scalar(*batch)
+
+
+def _canon(x):
+    """A field-by-field text form of an outcome; floats by ``repr``."""
+    if dataclasses.is_dataclass(x):
+        fields = (f.name for f in dataclasses.fields(x) if f.name != "instance")
+        return type(x).__name__ + "(" + ",".join(
+            f"{name}={_canon(getattr(x, name))}" for name in fields
+        ) + ")"
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(_canon, x)) + ")"
+    if isinstance(x, (bool, np.bool_)):
+        return repr(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return repr(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if x is None or isinstance(x, str):
+        return repr(x)
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def _outcome_lines(inst):
+    """Every outcome the public solvers give on ``inst``, or the exception."""
+    calls = [(mode, functools.partial(solve, mode)) for mode in equilibria.SOLVERS]
+    calls.append(("swap_roles", swap_roles))
+    for eps in (1e-3, 1e-9):
+        calls.append((f"epsilon {eps!r}", functools.partial(epsilon_equilibrium, epsilon=eps)))
+    for label, call in calls:
+        try:
+            yield f"{label} {_canon(call(inst))}"
+        except Exception as exc:  # any type: its name and message are pinned
+            yield f"{label} {type(exc).__name__}: {exc}"
+
+
+def _digest_games(rng, efficiency, count):
+    """Games with gains and noise power across 1e+-80, exact carrier ties,
+    identical user rows and unequal rates."""
+    for _ in range(count):
+        K = int(rng.integers(2, 7))
+        gains = rng.exponential(1.0, size=(2, K))
+        gains[:, 0] *= rng.choice([1.0, 30.0, 1e4], size=2)  # wide follower gaps
+        if rng.random() < 0.3:
+            gains = np.round(2.0 * gains) / 2.0 + 0.5  # exact ties
+        if rng.random() < 0.25:
+            gains[1] = gains[0]
+        level = 10.0 ** rng.uniform(-80.0, 80.0)
+        if rng.random() < 0.5:
+            sigma2 = level * 10.0 ** rng.uniform(-3.0, 3.0)
+        else:
+            sigma2 = 10.0 ** rng.uniform(-80.0, 80.0)
+        rates = (1.0, 1.0) if rng.random() < 0.5 else tuple(rng.uniform(0.1, 10.0, 2))
+        yield make_instance(gains * level, sigma2, rates, efficiency)
+
+
+def test_outcome_digest():
+    # Every field of every public solver's outcome, pinned: the scalar
+    # solvers, swap_roles and epsilon_equilibrium on games no sweep draws.
+    # Recorded with numpy 2.4.6 on CPython 3.11; drift in numpy's
+    # exponential stream or in libm would move it too.
+    rng = np.random.default_rng(2026)
+    lines = []
+    for efficiency in (_exponential(2), M100, _exponential(10**6), RATIONAL, SCALED):
+        for inst in _digest_games(rng, efficiency, 200):
+            lines.extend(_outcome_lines(inst))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        6000, "2abf3436f69fbdfdb2f59db57ef45c68cc8e98e3547482d4dabef130c180c78d"
+    )
